@@ -1,6 +1,7 @@
 """Branch-and-bound over the encoder's models.
 
-LP relaxations come from the dense simplex kernel; branching fixes ReLU
+LP relaxations come from the bounded-variable simplex kernel, where a
+variable bound costs no tableau row; branching fixes ReLU
 indicator binaries (most-fractional first). Fixing z tightens the child's
 variable bounds (z=1 pins vm to 0, z=0 pins vp to 0) instead of adding rows,
 so LP size stays constant down the tree. A network-forward primal heuristic
@@ -63,13 +64,16 @@ def _z_to_neuron(model):
     return mapping
 
 
-def solve(model, cfg, mlp=None, trace_log=None):
+def solve(model, cfg, mlp=None, trace_log=None, started=None):
     """Maximize the model objective exactly (within gaps) or until timeout.
 
     mlp enables the forward-pass primal heuristic; trace_log, when given,
     receives one "node_id depth bound incumbent" line per processed node.
+    started, a time.monotonic() reading, is when the time limit and
+    wall_seconds began to run (default: now), so a caller can count the
+    time it spent building the model.
     """
-    t0 = time.monotonic()
+    t0 = time.monotonic() if started is None else started
     sense_flip = model.objective_sense == "minimize"
     c = _objective_vector(model)
     if sense_flip:

@@ -23,6 +23,7 @@ EXIT_ROBUST = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_TIMEOUT = 2
 EXIT_MISCLASSIFIED = 3
+EXIT_UNKNOWN = 4
 
 BENCH_HEADER = ["arch", "lambda_alpha", "accuracy", "time_s", "nodes", "pruned_arch", "found"]
 
@@ -165,7 +166,7 @@ def cmd_verify(args):
         _write_manifest(args.out, args)
     print(doc)
     return {"robust": EXIT_ROBUST, "counterexample": EXIT_COUNTEREXAMPLE,
-            "timeout": EXIT_TIMEOUT}[verdict.outcome]
+            "timeout": EXIT_TIMEOUT, "unknown": EXIT_UNKNOWN}[verdict.outcome]
 
 
 def cmd_bench(args):
@@ -229,7 +230,8 @@ def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_l
                 continue
             verdict = verify(inst, SolverConfig(time_limit_seconds=time_limit),
                              bounds_mode="obbt" if args.obbt else "interval")
-            found = {"counterexample": "YES", "timeout": "NO", "robust": "-"}[verdict.outcome]
+            found = {"counterexample": "YES", "timeout": "NO", "robust": "-",
+                     "unknown": "?"}[verdict.outcome]
             rows.append([arch, tag, f"{accuracy(net, data):.4f}",
                          f"{verdict.report.wall_seconds:.3f}", verdict.report.nodes,
                          pruned_arch, found])

@@ -15,6 +15,7 @@ lies on one side of zero need no binary and are encoded stably.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,22 +267,28 @@ def _relaxation_prefix(mlp, box, bounds, upto_layer):
     return model, prev
 
 
-def obbt_tighten(mlp, box, seed_bounds):
+def obbt_tighten(mlp, box, seed_bounds, deadline=None):
     """Tighten each neuron's pre-activation bounds with two LPs per neuron.
 
     Layers are processed in ascending order so every LP sees final bounds for
     all predecessor layers; results are intersected with the seed bounds.
+    Once time.monotonic() passes deadline (if given), the table is returned
+    as it stands between neurons: untightened entries keep their seed bounds,
+    so every entry is still valid, and only layers tightened in full are
+    marked "obbt".
     """
     from .lp import solve_lp
 
     los = [lo.copy() for lo in seed_bounds.lo]
     his = [hi.copy() for hi in seed_bounds.hi]
-    table = BoundsTable(los, his, ["obbt"] * len(los))
+    table = BoundsTable(los, his, list(seed_bounds.provenance))
     for li in range(len(mlp.layers) - 1):
         W, b = mlp.layers[li]
         model, prev = _relaxation_prefix(mlp, box, table, li)
         n = model.num_vars
         for j in range(W.shape[0]):
+            if deadline is not None and time.monotonic() > deadline:
+                return table
             c = np.zeros(n)
             for i, w in zip(prev, W[j]):
                 c[i] += w
@@ -300,14 +307,17 @@ def obbt_tighten(mlp, box, seed_bounds):
             if los[li][j] > his[li][j]:  # numerical crossover at a fixed point
                 mid = 0.5 * (los[li][j] + his[li][j])
                 los[li][j] = his[li][j] = mid
+        table.provenance[li] = "obbt"
     return table
 
 
-def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True):
+def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True,
+                       deadline=None):
     """Adversarial model: maximize y_h - y_k over the delta-box around x.
 
     clamp intersects the box with [0, 1] (pixel domain); bounds_mode is
-    "interval" or "obbt".
+    "interval" or "obbt"; deadline (a time.monotonic() value) stops OBBT
+    early with the bounds tightened so far.
     """
     x = np.asarray(x, dtype=float)
     if delta < 0:
@@ -320,7 +330,7 @@ def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True):
     box = InputBox(lo, hi)
     bounds = interval_bounds(mlp, box)
     if bounds_mode == "obbt":
-        bounds = obbt_tighten(mlp, box, bounds)
+        bounds = obbt_tighten(mlp, box, bounds, deadline)
     elif bounds_mode != "interval":
         raise ValueError(f"unknown bounds mode {bounds_mode!r}")
     model = encode_network(mlp, box, bounds)

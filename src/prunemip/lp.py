@@ -1,9 +1,19 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense two-phase bounded-variable primal simplex for small linear programs.
 
 Serves as the LP kernel for bound tightening, branch-and-bound node
 relaxations, and the activation-pattern enumeration oracle. Variables may
 carry finite or infinite bounds; infinities are real ``math.inf`` sentinels,
 never large surrogate constants.
+
+Each variable becomes one nonnegative column with an upper bound (two
+unbounded columns when it is free), and the tableau has one row per
+constraint: bounds never become rows. A nonbasic column sits at 0 or at its
+upper bound u. A column at u is complemented (x -> u - x), which negates it
+and moves u * column into the right-hand side, so every nonbasic column
+reads 0 in the tableau. The ratio test stops where a basic variable reaches
+either of its bounds or where the entering column reaches its own; the last
+case is a bound flip, an iteration without a pivot. Before phase 1 each
+boxed column starts at the bound its phase-2 cost favours.
 """
 
 import math
@@ -91,23 +101,40 @@ def _pivot(T, basis, r, j):
     basis[r - 1] = j
 
 
-def _choose_row(T, basis, j):
-    """Min-ratio test; ties broken by smallest basic variable index."""
+def _flip(T, ub, flipped, j):
+    """Complement nonbasic column j, moving it to its other bound."""
+    T[:, -1] -= ub[j] * T[:, j]
+    T[:, j] *= -1.0
+    flipped[j] = not flipped[j]
+
+
+def _ratio_test(T, basis, ub, j):
+    """Step length along entering column j.
+
+    Returns (row, leaves_at_upper) for a pivot, (0, False) for a bound flip
+    of j itself, (-1, False) when the step is unbounded. Ties go to the
+    smallest basic variable index.
+    """
     col = T[1:, j]
     rhs = T[1:, -1]
-    mask = col > PIVOT_TOL
-    if not mask.any():
-        return -1
     ratios = np.full(col.shape, math.inf)
-    ratios[mask] = rhs[mask] / col[mask]
-    best = ratios.min()
+    down = col > PIVOT_TOL  # basic variable falls toward 0
+    ratios[down] = np.maximum(rhs[down], 0.0) / col[down]
+    up = col < -PIVOT_TOL  # basic variable rises toward its upper bound
+    ratios[up] = np.maximum(ub[basis[up]] - rhs[up], 0.0) / -col[up]
+    best = ratios.min(initial=math.inf)
+    if ub[j] <= best:
+        return (0 if math.isfinite(ub[j]) else -1), False
     cand = np.flatnonzero(ratios <= best + 1e-12)
-    r = cand[np.argmin(basis[cand])]
-    return int(r) + 1
+    r = int(cand[np.argmin(basis[cand])])
+    return r + 1, bool(up[r])
 
 
-def _run_simplex(T, basis, bland_after, allowed):
-    """Minimize the row-0 objective in place. Returns 'optimal'|'unbounded'."""
+def _run_simplex(T, basis, ub, flipped, bland_after):
+    """Minimize the row-0 objective in place. Returns 'optimal'|'unbounded'.
+
+    Pivots and bound flips both count as iterations.
+    """
     it = 0
     while True:
         if it > _MAX_ITER:
@@ -116,24 +143,29 @@ def _run_simplex(T, basis, bland_after, allowed):
         if costs.size == 0:  # every variable was fixed and substituted out
             return "optimal"
         if it >= bland_after:
-            cand = np.flatnonzero(allowed & (costs < -PIVOT_TOL))
+            cand = np.flatnonzero(costs < -PIVOT_TOL)
             if cand.size == 0:
                 return "optimal"
             j = int(cand[0])
         else:
-            masked = np.where(allowed, costs, 0.0)
-            j = int(np.argmin(masked))
-            if masked[j] >= -PIVOT_TOL:
+            j = int(np.argmin(costs))
+            if costs[j] >= -PIVOT_TOL:
                 return "optimal"
-        r = _choose_row(T, basis, j)
+        r, at_upper = _ratio_test(T, basis, ub, j)
         if r < 0:
             return "unbounded"
-        _pivot(T, basis, r, j)
+        if r == 0:
+            _flip(T, ub, flipped, j)
+        else:
+            leaving = basis[r - 1]
+            _pivot(T, basis, r, j)
+            if at_upper:
+                _flip(T, ub, flipped, leaving)
         it += 1
 
 
 def solve_lp(lp):
-    """Two-phase primal simplex on a dense tableau. Deterministic."""
+    """Two-phase bounded-variable primal simplex on a dense tableau. Deterministic."""
     _validate(lp)
     n = lp.num_vars
     lo = np.asarray(lp.lower, dtype=float)
@@ -141,65 +173,67 @@ def solve_lp(lp):
     if np.any(lo > up):
         return LpSolution("infeasible")
     c_orig = np.asarray(lp.objective, dtype=float)
-    maximize = lp.objective_sense == "maximize"
+    sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
 
     # Column layout for the standard form. Every original variable maps to
-    # nonnegative column(s) via shift / mirror / split; l == u variables are
-    # substituted out as constants.
+    # nonnegative column(s) via shift / mirror / split, each with an upper
+    # bound (finite only for shifted variables) and a phase-2 cost in the
+    # minimization sense; l == u variables are substituted out as constants.
     col_of = [None] * n  # (kind, data...)
-    ncols = 0
-    ub_rows = []  # (col, ub) for shifted variables with finite upper bound
+    col_ub = []
+    c2 = []
     for i in range(n):
         if lo[i] == up[i]:
             col_of[i] = ("fixed", lo[i])
-        elif math.isfinite(lo[i]):
-            col_of[i] = ("shift", ncols, lo[i])
-            if math.isfinite(up[i]):
-                ub_rows.append((ncols, up[i] - lo[i]))
-            ncols += 1
+            continue
+        if math.isfinite(lo[i]):
+            col_of[i] = ("shift", len(col_ub), lo[i])
+            col_ub.append(up[i] - lo[i])
+            c2.append(sgn * c_orig[i])
         elif math.isfinite(up[i]):
-            col_of[i] = ("mirror", ncols, up[i])
-            ncols += 1
+            col_of[i] = ("mirror", len(col_ub), up[i])
+            col_ub.append(math.inf)
+            c2.append(-sgn * c_orig[i])
         else:
-            col_of[i] = ("split", ncols, ncols + 1)
-            ncols += 2
+            col_of[i] = ("split", len(col_ub), len(col_ub) + 1)
+            col_ub += [math.inf, math.inf]
+            c2 += [sgn * c_orig[i], -sgn * c_orig[i]]
+    ncols = len(col_ub)
 
-    rows = []  # (dense coeffs over structural cols, relation, rhs)
-    for con in lp.constraints:
-        row = np.zeros(ncols)
+    m = len(lp.constraints)
+    nslack = sum(1 for con in lp.constraints if con.relation != EQ)
+    A = np.zeros((m, ncols + nslack))
+    b = np.zeros(m)
+    slack_of = [-1] * m
+    k = ncols
+    for i, con in enumerate(lp.constraints):
         rhs = con.rhs
         for j, a in con.coeffs.items():
             kind = col_of[j]
             if kind[0] == "fixed":
                 rhs -= a * kind[1]
             elif kind[0] == "shift":
-                row[kind[1]] += a
+                A[i, kind[1]] += a
                 rhs -= a * kind[2]
             elif kind[0] == "mirror":
-                row[kind[1]] -= a
+                A[i, kind[1]] -= a
                 rhs -= a * kind[2]
             else:
-                row[kind[1]] += a
-                row[kind[2]] -= a
-        rows.append((row, con.relation, rhs))
-    for col, ub in ub_rows:
-        row = np.zeros(ncols)
-        row[col] = 1.0
-        rows.append((row, LE, ub))
-
-    m = len(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
-    A = np.zeros((m, ncols + nslack))
-    b = np.zeros(m)
-    slack_of = [-1] * m
-    k = ncols
-    for i, (row, rel, rhs) in enumerate(rows):
-        A[i, :ncols] = row
+                A[i, kind[1]] += a
+                A[i, kind[2]] -= a
         b[i] = rhs
-        if rel != EQ:
-            A[i, k] = 1.0 if rel == LE else -1.0
+        if con.relation != EQ:
+            A[i, k] = 1.0 if con.relation == LE else -1.0
             slack_of[i] = k
             k += 1
+
+    # Crash start: a boxed column whose phase-2 cost favours its upper bound
+    # starts there.
+    ub = np.concatenate([col_ub, np.full(nslack, math.inf)])
+    c2 = np.concatenate([c2, np.zeros(nslack)])
+    flipped = np.isfinite(ub) & (c2 < 0.0)
+    b -= A[:, flipped] @ ub[flipped]
+    A[:, flipped] *= -1.0
     neg = b < 0
     A[neg] *= -1.0
     b[neg] = -b[neg]
@@ -215,66 +249,54 @@ def solve_lp(lp):
             art_rows.append(i)
             basis[i] = -1  # patched below
     nart = len(art_rows)
-    ntot = ncols + nslack + nart
-    T = np.zeros((m + 1, ntot + 1))
-    T[1:, : ncols + nslack] = A
+    nreal = ncols + nslack
+    # artificials are unbounded above, so they are never flipped
+    ub = np.concatenate([ub, np.full(nart, math.inf)])
+    flipped = np.concatenate([flipped, np.zeros(nart, dtype=bool)])
+    T = np.zeros((m + 1, nreal + nart + 1))
+    T[1:, :nreal] = A
     T[1:, -1] = b
     for idx, i in enumerate(art_rows):
-        col = ncols + nslack + idx
-        T[i + 1, col] = 1.0
-        basis[i] = col
-    allowed = np.ones(ntot, dtype=bool)
-    bland_after = _BLAND_FACTOR * (n + len(lp.constraints))
+        T[i + 1, nreal + idx] = 1.0
+        basis[i] = nreal + idx
+    bland_after = _BLAND_FACTOR * (n + m)
 
     if nart:
         # Phase 1: minimize the sum of artificials.
         for i in art_rows:
             T[0] -= T[i + 1]
-        T[0, ncols + nslack : -1] = 0.0  # reduced cost of basic artificials
-        status = _run_simplex(T, basis, bland_after, allowed)
+        T[0, nreal:-1] = 0.0  # reduced cost of basic artificials
+        status = _run_simplex(T, basis, ub, flipped, bland_after)
         assert status == "optimal"  # phase-1 objective is bounded below by 0
-        if -T[0, -1] > FEAS_TOL:
+        if T[1:, -1][basis >= nreal].sum() > FEAS_TOL:
             return LpSolution("infeasible")
         # Drive remaining artificials out of the basis; drop redundant rows.
         keep = np.ones(m + 1, dtype=bool)
         for r in range(1, m + 1):
-            if basis[r - 1] >= ncols + nslack:
-                piv_cols = np.flatnonzero(np.abs(T[r, : ncols + nslack]) > PIVOT_TOL)
+            if basis[r - 1] >= nreal:
+                piv_cols = np.flatnonzero(np.abs(T[r, :nreal]) > PIVOT_TOL)
                 if piv_cols.size:
                     _pivot(T, basis, r, int(piv_cols[0]))
                 else:
                     keep[r] = False
         T = T[keep]
         # Rebuild without artificial columns.
-        T = np.hstack([T[:, : ncols + nslack], T[:, -1:]])
+        T = np.hstack([T[:, :nreal], T[:, -1:]])
         basis = basis[keep[1:]]
-        m = len(basis)
-        allowed = np.ones(ncols + nslack, dtype=bool)
+        ub, flipped = ub[:nreal], flipped[:nreal]
 
-    # Phase 2.
-    c2 = np.zeros(ncols + nslack)
-    sgn = -1.0 if maximize else 1.0
-    for i in range(n):
-        kind = col_of[i]
-        if kind[0] == "shift":
-            c2[kind[1]] += sgn * c_orig[i]
-        elif kind[0] == "mirror":
-            c2[kind[1]] -= sgn * c_orig[i]
-        elif kind[0] == "split":
-            c2[kind[1]] += sgn * c_orig[i]
-            c2[kind[2]] -= sgn * c_orig[i]
-    T[0, :-1] = c2
+    # Phase 2, with the costs of complemented columns negated.
+    cost = np.where(flipped, -c2, c2)
+    T[0, :-1] = cost
     T[0, -1] = 0.0
-    for r in range(1, m + 1):
-        cb = c2[basis[r - 1]]
-        if cb != 0.0:
-            T[0] -= cb * T[r]
-    status = _run_simplex(T, basis, bland_after, allowed)
+    T[0] -= cost[basis] @ T[1:]
+    status = _run_simplex(T, basis, ub, flipped, bland_after)
     if status == "unbounded":
         return LpSolution("unbounded")
 
-    vals = np.zeros(ncols + nslack)
+    vals = np.zeros(nreal)
     vals[basis] = T[1:, -1]
+    vals[flipped] = ub[flipped] - vals[flipped]
     x = np.empty(n)
     for i in range(n):
         kind = col_of[i]

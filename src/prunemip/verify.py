@@ -4,10 +4,12 @@ An instance asks whether any input within the delta-box around a correctly
 classified point makes the runner-up class h outscore the true class k.
 Robust means the solver certified max(y_h - y_k) <= 0; a counterexample is
 any box point whose forward margin is positive (validated independently of
-the solver).
+the solver). A solve that ends without either (a positive optimum whose point
+the forward pass rejects, or an infeasible model) is unknown.
 """
 
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ class VerificationInstance:
 
 @dataclass
 class Verdict:
-    outcome: str  # "robust" | "counterexample" | "timeout"
+    outcome: str  # "robust" | "counterexample" | "timeout" | "unknown"
     margin: float
     counterexample_input: np.ndarray
     report: object
@@ -83,13 +85,19 @@ def margin_of(mlp, x, k, h):
 
 def verify(inst, cfg=None, bounds_mode="obbt"):
     """Encode, solve, adjudicate. The counterexample (if any) is re-validated
-    by a forward pass before it is reported."""
+    by a forward pass before it is reported.
+
+    The time limit and the report's wall_seconds run from the start of the
+    encoding, so they cover bound tightening as well as branch-and-bound.
+    """
     cfg = cfg or SolverConfig()
+    started = time.monotonic()
     model = encode_adversarial(
         inst.mlp, inst.x, inst.effective_delta, inst.k, inst.h,
         bounds_mode=bounds_mode, clamp=inst.clamp,
+        deadline=started + cfg.time_limit_seconds,
     )
-    report = solve(model, cfg, mlp=inst.mlp)
+    report = solve(model, cfg, mlp=inst.mlp, started=started)
     cex = None
     if report.incumbent_point is not None and report.incumbent_obj is not None:
         x_adv = report.incumbent_point[model.input_vars]
@@ -97,8 +105,10 @@ def verify(inst, cfg=None, bounds_mode="obbt"):
             cex = x_adv
     if cex is not None:
         return Verdict("counterexample", margin_of(inst.mlp, cex, inst.k, inst.h), cex, report)
-    if report.status == "optimal":
+    if report.status == "optimal" and report.incumbent_obj <= 0:
         return Verdict("robust", report.incumbent_obj, None, report)
+    if report.status in ("optimal", "infeasible"):
+        return Verdict("unknown", report.incumbent_obj, None, report)
     return Verdict("timeout", report.incumbent_obj, None, report)
 
 

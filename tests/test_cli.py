@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from prunemip.bnb import SolveReport
 from prunemip.cli import BENCH_HEADER, main
 from prunemip.nn import Mlp, load_model, save_model
 
@@ -77,6 +78,17 @@ def test_verify_timeout_exit(tmp_path, trained_model):
     code = run_cli("verify", "--model", str(trained_model),
                    "--delta", "2.0", "--time-limit", "1e-9", "--index", "0")
     assert code == 2
+
+
+def _unknown_report(model, cfg, **kwargs):
+    """A positive optimum with no incumbent point: proves nothing either way."""
+    return SolveReport("optimal", 0.5, 0.5, 1, 0.0)
+
+
+def test_verify_unknown_exit(monkeypatch, trained_model):
+    monkeypatch.setattr(sys.modules["prunemip.verify"], "solve", _unknown_report)
+    assert run_cli("verify", "--model", str(trained_model),
+                   "--delta", "0.3", "--index", "0") == 4
 
 
 def test_verify_misclassified_exit(tmp_path, trained_model):
@@ -151,6 +163,18 @@ def test_bench_desk_scale(tmp_path):
         assert row[6] in ("YES", "NO", "-")
     summary = json.loads((tmp_path / "bench.csv.summary.json").read_text())
     assert "cross_check_transfer" in summary and "errors" in summary
+
+
+def test_bench_marks_unknown_outcomes(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules["prunemip.verify"], "solve", _unknown_report)
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--archs", "1x8", "--out", str(out),
+                   "--reps", "1", "--desk-scale", "--batch", "32",
+                   "--grid-lambdas", "0.5", "--grid-alphas", "0.5",
+                   "--deltas", "0.5", "--fine-tune-epochs", "3") == 0
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    assert [row[6] for row in rows[1:]] == ["?", "?"]
 
 
 def test_console_entry_point_subprocess():

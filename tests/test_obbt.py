@@ -1,6 +1,9 @@
 """OBBT tests: containment, single-layer equality, point-box collapse,
 strict improvement on deeper nets."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,22 @@ def test_strict_improvement_on_some_deep_net():
         if np.any(width_tight < width_seed - 1e-9):
             improved += 1
     assert improved >= 1
+
+
+def test_deadline_returns_partly_tightened_valid_table(monkeypatch):
+    """A clock that ticks once per neuron check passes the deadline after
+    seven neurons: layer 0 (five) is done, layer 1 has two tightened and
+    three at their seed bounds."""
+    net = random_net(42, input_dim=3, hidden=[5, 5], classes=2)
+    box = unit_box(3)
+    seed_table = interval_bounds(net, box)
+    full = obbt_tighten(net, box, seed_table)
+    ticks = itertools.count(1)
+    monkeypatch.setattr("prunemip.encode.time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    part = obbt_tighten(net, box, seed_table, deadline=7)
+    assert part.provenance == ["obbt", "interval"]
+    for table_a, table_b in ((part.lo, full.lo), (part.hi, full.hi)):
+        assert np.array_equal(table_a[0], table_b[0])
+        assert np.array_equal(table_a[1][:2], table_b[1][:2])
+    assert np.array_equal(part.lo[1][2:], seed_table.lo[1][2:])
+    assert np.array_equal(part.hi[1][2:], seed_table.hi[1][2:])

@@ -2,13 +2,16 @@
 cross-checking."""
 
 import json
+import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from prunemip.bnb import SolverConfig, brute_force_verify
+from prunemip.bnb import SolveReport, SolverConfig, brute_force_verify
 from prunemip.encode import InputBox
-from prunemip.nn import Mlp, forward
+from prunemip.nn import Mlp, forward, init_mlp
 from prunemip.verify import (
     InvalidInstanceError,
     build_instance,
@@ -138,3 +141,35 @@ def test_verdict_json_round_trip():
     assert doc["config"] == {"delta": 0.5}
     assert isinstance(doc["counterexample"], list)
     assert doc["nodes"] >= 1
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible"])
+def test_unproven_solve_is_unknown(monkeypatch, status):
+    """A positive optimum whose point the forward pass rejects, or an
+    infeasible model, proves neither robustness nor a counterexample."""
+    net = _vulnerable_net()
+    inst = build_instance(net, np.array([0.3]), 1, 0.5)
+    assert margin_of(net, np.zeros(1), inst.k, inst.h) <= 0  # the point below is no counterexample
+
+    def unproven(model, cfg, **kwargs):
+        if status == "infeasible":
+            return SolveReport(status, None, -math.inf, 1, 0.0)
+        return SolveReport(status, 0.5, 0.5, 1, 0.0, np.zeros(model.num_vars))
+
+    monkeypatch.setattr(sys.modules["prunemip.verify"], "solve", unproven)
+    verdict = verify(inst, SolverConfig())
+    assert verdict.outcome == "unknown"
+    assert verdict.counterexample_input is None
+
+
+def test_time_limit_and_wall_seconds_cover_obbt():
+    net = init_mlp(196, [20, 20], 10, seed=0)
+    x = np.random.default_rng(0).uniform(0, 1, 196)
+    logits, _ = forward(net, x)
+    inst = build_instance(net, x, int(np.argmax(logits)), 5.0, units="raw-pixel")
+    t0 = time.monotonic()
+    verdict = verify(inst, SolverConfig(time_limit_seconds=1e-3))
+    elapsed = time.monotonic() - t0
+    assert verdict.outcome == "timeout"
+    assert verdict.report.nodes == 0
+    assert elapsed - 0.05 < verdict.report.wall_seconds <= elapsed
