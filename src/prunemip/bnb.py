@@ -5,7 +5,9 @@ variable bound costs no tableau row; branching fixes ReLU
 indicator binaries (most-fractional first). Fixing z tightens the child's
 variable bounds (z=1 pins vm to 0, z=0 pins vp to 0) instead of adding rows,
 so LP size stays constant down the tree. A network-forward primal heuristic
-runs at every feasible node. Single-threaded, deterministic node accounting.
+runs at every feasible node. A node is pruned once its bound exceeds the
+incumbent by no more than ABS_GAP; the time limit is the only setting.
+Single-threaded, deterministic node accounting.
 """
 
 import heapq
@@ -16,26 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import InputBox, assemble_trace, interval_bounds
-from .lp import EQ, GE, LE, Constraint, LinearProgram, check_feasible, solve_lp
+from .encode import assemble_trace, interval_bounds
+from .lp import EQ, LE, Constraint, LinearProgram, solve_lp
 
 INT_TOL = 1e-6
+ABS_GAP = 1e-6  # a node is pruned unless its bound beats the incumbent by more
 
 
 @dataclass
 class SolverConfig:
     time_limit_seconds: float = 1800.0
-    abs_gap: float = 1e-6
-    rel_gap: float = 0.0
-    node_selection: str = "best-bound"  # with an initial depth-first dive
-    branching: str = "most-fractional"
-    seed: int = 0
 
     def __post_init__(self):
         if self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be > 0")
-        if self.abs_gap < 0 or self.rel_gap < 0:
-            raise ValueError("gaps must be >= 0")
 
 
 @dataclass
@@ -48,13 +44,6 @@ class SolveReport:
     incumbent_point: np.ndarray = None
 
 
-def _objective_vector(model):
-    c = np.zeros(model.num_vars)
-    for j, v in model.objective.items():
-        c[j] = v
-    return c
-
-
 def _z_to_neuron(model):
     mapping = {}
     for layer in model.neurons:
@@ -65,7 +54,7 @@ def _z_to_neuron(model):
 
 
 def solve(model, cfg, mlp=None, trace_log=None, started=None):
-    """Maximize the model objective exactly (within gaps) or until timeout.
+    """Maximize the model objective exactly (within ABS_GAP) or until timeout.
 
     mlp enables the forward-pass primal heuristic; trace_log, when given,
     receives one "node_id depth bound incumbent" line per processed node.
@@ -75,13 +64,12 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
     """
     t0 = time.monotonic() if started is None else started
     sense_flip = model.objective_sense == "minimize"
-    c = _objective_vector(model)
+    c = model.objective_vector()
     if sense_flip:
         c = -c
     z_info = _z_to_neuron(model)
     z_cols = sorted(z_info)
     base_lo, base_hi = model.lower, model.upper
-    gap_closed = lambda inc, bb: bb - inc <= cfg.abs_gap + cfg.rel_gap * abs(inc)
 
     incumbent = None
     inc_obj = -math.inf
@@ -93,12 +81,6 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
     heap = []
     timed_out = False
 
-    def heur_point(lp_point):
-        if mlp is None or not model.input_vars:
-            return None
-        x = lp_point[model.input_vars]
-        return assemble_trace(model, mlp, x)
-
     while stack or heap:
         if time.monotonic() - t0 > cfg.time_limit_seconds:
             timed_out = True
@@ -108,7 +90,7 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
         else:
             neg_bound, _, fix = heapq.heappop(heap)
             bound_est = -neg_bound
-        if bound_est <= inc_obj + cfg.abs_gap + cfg.rel_gap * abs(inc_obj):
+        if bound_est <= inc_obj + ABS_GAP:
             continue  # pruned by bound before solving
         lo = base_lo.copy()
         hi = base_hi.copy()
@@ -128,11 +110,12 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
         if sol.status != "optimal":
             continue  # infeasible node (unbounded cannot occur: box-bounded inputs)
         lp_obj = sol.objective
-        if lp_obj <= inc_obj + cfg.abs_gap + cfg.rel_gap * abs(inc_obj):
+        if lp_obj <= inc_obj + ABS_GAP:
             continue
-        point = heur_point(sol.primal)
-        if point is not None:
-            obj = float(c @ point)
+        if mlp is not None and model.input_vars:
+            point, obj = primal_heuristic(model, sol.primal, mlp)
+            if sense_flip:
+                obj = -obj
             if obj > inc_obj:
                 incumbent, inc_obj = point, obj
         free = [j for j in z_cols if j not in fix]
@@ -144,7 +127,7 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
             continue
         branch = min(frac, key=lambda j: (abs(vals[j] - 0.5), j))
         children = [(lp_obj, {**fix, branch: 0}), (lp_obj, {**fix, branch: 1})]
-        if incumbent is None and cfg.node_selection != "pure-best-bound":
+        if incumbent is None:
             # keep diving toward the branch value suggested by the LP
             first, second = (children if vals[branch] < 0.5 else children[::-1])
             stack.append(second)
@@ -180,8 +163,7 @@ def primal_heuristic(model, lp_point, mlp):
     """
     x = np.asarray(lp_point, dtype=float)[model.input_vars]
     point = assemble_trace(model, mlp, x)
-    c = _objective_vector(model)
-    return point, float(c @ point)
+    return point, float(model.objective_vector() @ point)
 
 
 def brute_force_verify(mlp, box, k, h, max_unstable=20):

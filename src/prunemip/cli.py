@@ -14,7 +14,8 @@ from .archs import ArchError, format_arch, parse_arch
 from .bnb import SolverConfig
 from .data import gen_synthetic, load_mnist
 from .encode import encode_adversarial, export_lp
-from .nn import TrainConfig, accuracy, init_mlp, load_model, save_model, sgd_train
+from .nn import (TrainConfig, accuracy, forward, forward_batch, init_mlp, load_model,
+                 save_model, sgd_train)
 from .prune import grid_log_csv, prune_pipeline
 from .spr import SprConfig
 from .verify import InvalidInstanceError, build_instance, cross_check, verify
@@ -129,8 +130,6 @@ def cmd_prune(args):
 def _pick_instance(mlp, args):
     if args.input is not None:
         x = np.array(json.loads(Path(args.input).read_text()), dtype=float)
-        from .nn import forward
-
         logits, _ = forward(mlp, x)
         label = args.label if args.label is not None else int(np.argmax(logits))
         return x, label
@@ -245,8 +244,6 @@ def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_l
 
 
 def _first_correct(mlp, data):
-    from .nn import forward_batch
-
     logits, _ = forward_batch(mlp, data.inputs)
     correct = np.flatnonzero(logits.argmax(axis=1) == data.labels)
     if correct.size == 0:

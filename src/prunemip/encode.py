@@ -104,15 +104,19 @@ class MipModel:
     def num_binaries(self):
         return int(self.is_binary.sum())
 
-    def to_lp(self, lower=None, upper=None):
-        """Continuous relaxation (binaries relaxed into their [0,1] bounds)."""
+    def objective_vector(self):
+        """The objective as a dense coefficient vector, in the model's own sense."""
         c = np.zeros(self.num_vars)
         for j, v in self.objective.items():
             c[j] = v
+        return c
+
+    def to_lp(self, lower=None, upper=None):
+        """Continuous relaxation (binaries relaxed into their [0,1] bounds)."""
         return LinearProgram(
             self.num_vars,
             self.objective_sense,
-            c,
+            self.objective_vector(),
             self.lower if lower is None else lower,
             self.upper if upper is None else upper,
             self.constraints,
@@ -153,6 +157,13 @@ class _ModelBuilder:
     def add_con(self, coeffs, relation, rhs):
         self.constraints.append(Constraint(dict(coeffs), relation, rhs))
 
+    def add_affine(self, row, prev, weights, bias):
+        """The row `row - weights . prev = bias`; zero weights get no entry."""
+        for i, w in zip(prev, weights):
+            if w != 0.0:
+                row[i] = row.get(i, 0.0) - w
+        self.add_con(row, EQ, bias)
+
     def finish(self, **meta):
         model = MipModel(
             names=self.names,
@@ -166,6 +177,44 @@ class _ModelBuilder:
         return model
 
 
+def _encode_hidden(layers, box, bounds, eliminate_stable=True):
+    """Input columns and the big-M rows of the given hidden layers.
+
+    Returns (builder, input columns, NeuronVars per layer, the columns
+    feeding the layer after the last one given).
+    """
+    bld = _ModelBuilder()
+    inputs = [bld.add_var(f"x_{i}", box.lower[i], box.upper[i]) for i in range(box.dim)]
+    prev = inputs
+    neurons = []
+    for li, (W, b) in enumerate(layers):
+        if W.shape[0] != bounds.lo[li].size:
+            raise ValueError(f"bounds table layer {li} width mismatch")
+        layer = []
+        mp_arr, mm_arr = bounds.m_plus(li), bounds.m_minus(li)
+        for j in range(W.shape[0]):
+            lo_j, hi_j = bounds.lo[li][j], bounds.hi[li][j]
+            mp, mm = mp_arr[j], mm_arr[j]
+            if eliminate_stable and hi_j <= STABLE_TOL:
+                vp = bld.add_var(f"vp_{li}_{j}", 0.0, 0.0)
+                layer.append(NeuronVars("inactive", vp))
+            elif eliminate_stable and lo_j >= -STABLE_TOL:
+                vp = bld.add_var(f"vp_{li}_{j}", max(lo_j, 0.0), hi_j)
+                bld.add_affine({vp: 1.0}, prev, W[j], b[j])
+                layer.append(NeuronVars("active", vp))
+            else:
+                vp = bld.add_var(f"vp_{li}_{j}", 0.0, mp)
+                vm = bld.add_var(f"vm_{li}_{j}", 0.0, mm)
+                z = bld.add_var(f"z_{li}_{j}", 0.0, 1.0, binary=True)
+                bld.add_affine({vp: 1.0, vm: -1.0}, prev, W[j], b[j])
+                bld.add_con({vp: 1.0, z: -mp}, LE, 0.0)
+                bld.add_con({vm: 1.0, z: mm}, LE, mm)
+                layer.append(NeuronVars("split", vp, vm, z))
+        neurons.append(layer)
+        prev = [nv.vp for nv in layer]
+    return bld, inputs, neurons, prev
+
+
 def encode_network(mlp, box, bounds, eliminate_stable=True):
     """Big-M MILP of the network over the box, using the given bounds table.
 
@@ -177,94 +226,14 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
         raise ValueError("box dimension does not match network input")
     if len(bounds.lo) != len(mlp.layers) - 1:
         raise ValueError("bounds table does not match network depth")
-    bld = _ModelBuilder()
-    inputs = [bld.add_var(f"x_{i}", box.lower[i], box.upper[i]) for i in range(box.dim)]
-    prev = inputs
-    neurons = []
-    for li, (W, b) in enumerate(mlp.layers[:-1]):
-        if W.shape[0] != bounds.lo[li].size:
-            raise ValueError(f"bounds table layer {li} width mismatch")
-        layer = []
-        nxt = []
-        mp_arr, mm_arr = bounds.m_plus(li), bounds.m_minus(li)
-        for j in range(W.shape[0]):
-            lo_j, hi_j = bounds.lo[li][j], bounds.hi[li][j]
-            mp, mm = mp_arr[j], mm_arr[j]
-            if eliminate_stable and hi_j <= STABLE_TOL:
-                vp = bld.add_var(f"vp_{li}_{j}", 0.0, 0.0)
-                layer.append(NeuronVars("inactive", vp))
-            elif eliminate_stable and lo_j >= -STABLE_TOL:
-                vp = bld.add_var(f"vp_{li}_{j}", max(lo_j, 0.0), hi_j)
-                row = {vp: 1.0}
-                for i, w in zip(prev, W[j]):
-                    if w != 0.0:
-                        row[i] = row.get(i, 0.0) - w
-                bld.add_con(row, EQ, b[j])
-                layer.append(NeuronVars("active", vp))
-            else:
-                vp = bld.add_var(f"vp_{li}_{j}", 0.0, mp)
-                vm = bld.add_var(f"vm_{li}_{j}", 0.0, mm)
-                z = bld.add_var(f"z_{li}_{j}", 0.0, 1.0, binary=True)
-                row = {vp: 1.0, vm: -1.0}
-                for i, w in zip(prev, W[j]):
-                    if w != 0.0:
-                        row[i] = row.get(i, 0.0) - w
-                bld.add_con(row, EQ, b[j])
-                bld.add_con({vp: 1.0, z: -mp}, LE, 0.0)
-                bld.add_con({vm: 1.0, z: mm}, LE, mm)
-                layer.append(NeuronVars("split", vp, vm, z))
-            nxt.append(layer[-1].vp)
-        neurons.append(layer)
-        prev = nxt
+    bld, inputs, neurons, prev = _encode_hidden(mlp.layers[:-1], box, bounds, eliminate_stable)
     W, b = mlp.layers[-1]
     outputs = []
     for j in range(W.shape[0]):
         y = bld.add_var(f"y_{j}", -math.inf, math.inf)
-        row = {y: 1.0}
-        for i, w in zip(prev, W[j]):
-            if w != 0.0:
-                row[i] = row.get(i, 0.0) - w
-        bld.add_con(row, EQ, b[j])
+        bld.add_affine({y: 1.0}, prev, W[j], b[j])
         outputs.append(y)
     return bld.finish(input_vars=inputs, output_vars=outputs, neurons=neurons)
-
-
-def _relaxation_prefix(mlp, box, bounds, upto_layer):
-    """Continuous relaxation of layers < upto_layer, returning (lp, prev_vars).
-
-    prev_vars are the variable columns feeding layer upto_layer.
-    """
-    bld = _ModelBuilder()
-    prev = [bld.add_var(f"x_{i}", box.lower[i], box.upper[i]) for i in range(box.dim)]
-    for li in range(upto_layer):
-        W, b = mlp.layers[li]
-        mp_arr, mm_arr = bounds.m_plus(li), bounds.m_minus(li)
-        nxt = []
-        for j in range(W.shape[0]):
-            mp, mm = mp_arr[j], mm_arr[j]
-            vp = bld.add_var(f"vp_{li}_{j}", 0.0, mp)
-            if mp > 0.0 and mm > 0.0:
-                vm = bld.add_var(f"vm_{li}_{j}", 0.0, mm)
-                z = bld.add_var(f"z_{li}_{j}", 0.0, 1.0)
-                row = {vp: 1.0, vm: -1.0}
-                for i, w in zip(prev, W[j]):
-                    if w != 0.0:
-                        row[i] = row.get(i, 0.0) - w
-                bld.add_con(row, EQ, b[j])
-                bld.add_con({vp: 1.0, z: -mp}, LE, 0.0)
-                bld.add_con({vm: 1.0, z: mm}, LE, mm)
-            elif mm == 0.0:  # stably active: vp equals the pre-activation
-                row = {vp: 1.0}
-                for i, w in zip(prev, W[j]):
-                    if w != 0.0:
-                        row[i] = row.get(i, 0.0) - w
-                bld.add_con(row, EQ, b[j])
-                bld.lower[vp] = max(bounds.lo[li][j], 0.0)
-            # mp == 0: stably inactive, vp already fixed in [0, 0]
-            nxt.append(vp)
-        prev = nxt
-    model = bld.finish()
-    return model, prev
 
 
 def obbt_tighten(mlp, box, seed_bounds, deadline=None):
@@ -284,7 +253,9 @@ def obbt_tighten(mlp, box, seed_bounds, deadline=None):
     table = BoundsTable(los, his, list(seed_bounds.provenance))
     for li in range(len(mlp.layers) - 1):
         W, b = mlp.layers[li]
-        model, prev = _relaxation_prefix(mlp, box, table, li)
+        # the encoder's own rows for layers < li; LPs ignore integrality
+        bld, _, _, prev = _encode_hidden(mlp.layers[:li], box, table)
+        model = bld.finish()
         n = model.num_vars
         for j in range(W.shape[0]):
             if deadline is not None and time.monotonic() > deadline:
@@ -428,7 +399,7 @@ def export_lp(model, path):
         f.write(write_lp(model))
 
 
-def _parse_terms(tokens, var_index, names, lower, upper, binary):
+def _parse_terms(tokens, get_var):
     coeffs = {}
     sign = 1.0
     i = 0
@@ -444,14 +415,7 @@ def _parse_terms(tokens, var_index, names, lower, upper, binary):
             i += 1
         else:
             coef = sign * float(tok)
-            name = tokens[i + 1]
-            if name not in var_index:
-                var_index[name] = len(names)
-                names.append(name)
-                lower.append(0.0)
-                upper.append(math.inf)
-                binary.append(False)
-            j = var_index[name]
+            j = get_var(tokens[i + 1])
             coeffs[j] = coeffs.get(j, 0.0) + coef
             sign = 1.0
             i += 2
@@ -497,12 +461,12 @@ def parse_lp(text):
             break
         if section == "objective":
             body = line.split(":", 1)[1] if ":" in line else line
-            objective = _parse_terms(body.split(), var_index, names, lower, upper, binary)
+            objective = _parse_terms(body.split(), _get_var)
         elif section == "constraints":
             body = line.split(":", 1)[1] if ":" in line else line
             tokens = body.split()
             rel_pos = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
-            coeffs = _parse_terms(tokens[:rel_pos], var_index, names, lower, upper, binary)
+            coeffs = _parse_terms(tokens[:rel_pos], _get_var)
             constraints.append(Constraint(coeffs, tokens[rel_pos], float(tokens[rel_pos + 1])))
         elif section == "bounds":
             tokens = line.split()

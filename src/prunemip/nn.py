@@ -6,11 +6,12 @@ epoch from one seeded generator.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .archs import format_arch
+from .spr import _case_a_slope, spr_penalty, spr_rows
 
 MODEL_FORMAT_VERSION = 1
 
@@ -151,19 +152,13 @@ def grad_cross_entropy(mlp, X, y):
     y = np.asarray(y)
     if len(X) == 0:
         raise ValueError("empty batch")
-    acts = [X]
-    preacts = []
-    last = len(mlp.layers) - 1
-    for i, (W, b) in enumerate(mlp.layers):
-        Z = acts[-1] @ W.T + b
-        preacts.append(Z)
-        acts.append(Z if i == last else np.maximum(Z, 0.0))
-    P = _softmax(acts[-1])
-    delta = P.copy()
+    logits, preacts = forward_batch(mlp, X)
+    acts = [X] + [np.maximum(Z, 0.0) for Z in preacts[:-1]]
+    delta = _softmax(logits)
     delta[np.arange(len(y)), y] -= 1.0
     delta /= len(y)
     grads = [None] * len(mlp.layers)
-    for i in range(last, -1, -1):
+    for i in range(len(mlp.layers) - 1, -1, -1):
         W, _ = mlp.layers[i]
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
@@ -185,8 +180,6 @@ def sgd_train(mlp, data, cfg, val_data=None):
     Returns (trained Mlp, history), history being one dict per epoch with
     the mean training loss and the accuracy on val_data (train data if None).
     """
-    from .spr import spr_grad, spr_value  # late import: spr depends on nothing here
-
     if len(data) == 0:
         raise ValueError("empty dataset")
     reg = cfg.regularizer
@@ -211,11 +204,7 @@ def sgd_train(mlp, data, cfg, val_data=None):
             losses.append(cross_entropy_loss(net, X, y))
         entry = {"epoch": epoch, "loss": float(np.mean(losses)), "accuracy": accuracy(net, eval_data)}
         if reg is not None:
-            entry["spr_penalty"] = reg.lam * sum(
-                spr_value(np.concatenate([W[j], b[j : j + 1]]), reg.alpha, reg.m)
-                for W, b in net.layers[:-1]
-                for j in range(W.shape[0])
-            )
+            entry["spr_penalty"] = spr_penalty(net, reg)
         history.append(entry)
     return net, history
 
@@ -227,29 +216,22 @@ def _apply_spr_step(net, reg, lr):
     radial shrink that snaps the group to zero once the remaining norm is
     smaller than the step; a raw subgradient step would instead oscillate
     around zero at radius lr*lam and no group could ever be pruned. The
-    smooth cases B and C take the ordinary spr_grad step.
+    smooth cases B and C take the ordinary gradient step. Zero groups stay
+    as they are. Each layer is updated in place, all its groups at once.
     """
-    import math
-
-    from .spr import spr_grad
-
-    slope_a = 2.0 * math.sqrt((1.0 - reg.alpha) * reg.alpha)
-    for li in range(len(net.layers) - 1):  # output layer is never regularized
-        W, b = net.layers[li]
-        for j in range(W.shape[0]):
-            grp = np.concatenate([W[j], b[j : j + 1]])
-            l2 = float(np.linalg.norm(grp))
-            if l2 == 0.0:
-                continue
-            linf = float(np.max(np.abs(grp)))
-            r = math.sqrt(reg.alpha / (1.0 - reg.alpha)) * l2
-            if linf / reg.m <= r <= 1.0:
-                shrink = lr * reg.lam * slope_a
-                grp = np.zeros_like(grp) if l2 <= shrink else grp * (1.0 - shrink / l2)
-            else:
-                grp = grp - lr * reg.lam * spr_grad(grp, reg.alpha, reg.m)
-            W[j] = grp[:-1]
-            b[j] = grp[-1]
+    step = lr * reg.lam
+    shrink = step * _case_a_slope(reg.alpha)
+    for W, b in net.layers[:-1]:  # output layer is never regularized
+        G = np.column_stack([W, b])
+        _, grads, case_a, l2 = spr_rows(G, reg.alpha, reg.m)
+        new = G - step * grads
+        new[case_a] = 0.0
+        keep = case_a & (l2 > shrink)
+        new[keep] = G[keep] * (1.0 - shrink / l2[keep])[:, None]
+        zero = l2 == 0.0
+        new[zero] = G[zero]
+        W[:] = new[:, :-1]
+        b[:] = new[:, -1]
 
 
 def save_model(mlp, path, training_meta=None):

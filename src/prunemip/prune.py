@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .archs import format_arch
-from .nn import Mlp, TrainConfig, accuracy, init_mlp, sgd_train
+from .nn import Mlp, accuracy, init_mlp, sgd_train
 
 
 class OverPrunedError(RuntimeError):
@@ -90,7 +90,6 @@ def prune_pipeline(
     val_data=None,
     fine_tune_epochs=10,
     acc_floor=0.005,
-    init_seed=None,
 ):
     """Grid search: train with SPR -> threshold prune -> fine-tune -> evaluate.
 
@@ -104,8 +103,7 @@ def prune_pipeline(
     if not grid:
         raise ValueError("empty grid")
     eval_data = val_data if val_data is not None else data
-    seed = base_cfg.seed if init_seed is None else init_seed
-    init = init_mlp(data.inputs.shape[1], hidden_widths, data.num_classes, seed)
+    init = init_mlp(data.inputs.shape[1], hidden_widths, data.num_classes, base_cfg.seed)
     plain_cfg = replace(base_cfg, regularizer=None)
     baseline, _ = sgd_train(init, data, plain_cfg, val_data=val_data)
     base_acc = accuracy(baseline, eval_data)

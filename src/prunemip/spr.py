@@ -4,6 +4,10 @@ The penalty acts on one neuron's incoming weight row concatenated with its
 bias entry and is minimized by (sub)gradient descent alongside the usual
 cross-entropy loss; driving it to zero drives the whole group to zero, which
 is what makes the neuron removable afterwards.
+
+spr_rows holds the one case analysis, over all groups of a layer at once;
+spr_value and spr_grad are its one-group views, and training, the summed
+penalty and regularized_loss all go through it.
 """
 
 import math
@@ -31,6 +35,46 @@ def _check_params(alpha, m):
         raise ValueError(f"m must be > 0, got {m}")
 
 
+def _case_a_slope(alpha):
+    """Case A's penalty is this slope times ||w||2."""
+    return 2.0 * math.sqrt((1.0 - alpha) * alpha)
+
+
+def spr_rows(G, alpha, m):
+    """spr_value and spr_grad of every row of G at once, one group per row.
+
+    Returns (values, grads, case_a, l2); the case-A mask and the row norms
+    ||w||2 serve the training step. Each norm is a 1xn @ nx1 product, which
+    rounds as np.linalg.norm of the row alone does (np.linalg.norm(G, axis=1)
+    does not).
+    """
+    _check_params(alpha, m)
+    G = np.asarray(G, dtype=float)
+    rows = np.arange(len(G))
+    imax = np.abs(G).argmax(axis=1)  # first coordinate attaining ||w||inf
+    e = np.zeros_like(G)
+    e[rows, imax] = np.copysign(1.0, G[rows, imax])
+    l2 = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
+    linf = np.abs(G[rows, imax])
+    r = math.sqrt(alpha / (1.0 - alpha)) * l2
+    q = linf / m
+    case_a = (q <= r) & (r <= 1.0)  # w = 0 lands here, with value 0 and gradient 0
+    case_b = ~case_a & (r <= q) & (q <= 1.0)
+    case_c = ~case_a & ~case_b
+    values, grads = np.empty(len(G)), np.zeros_like(G)
+    values[case_a] = _case_a_slope(alpha) * l2[case_a]
+    nonzero = case_a & (l2 > 0.0)
+    grads[nonzero] = (_case_a_slope(alpha) / l2[nonzero])[:, None] * G[nonzero]
+    l2b, linfb, eb = l2[case_b], linf[case_b], e[case_b]
+    values[case_b] = alpha * m * l2b * l2b / linfb + (1.0 - alpha) * q[case_b]
+    grads[case_b] = ((2.0 * alpha * m / linfb)[:, None] * G[case_b]
+                     - (alpha * m * l2b * l2b / (linfb * linfb))[:, None] * eb
+                     + (1.0 - alpha) / m * eb)
+    values[case_c] = alpha * l2[case_c] * l2[case_c] + (1.0 - alpha)
+    grads[case_c] = 2.0 * alpha * G[case_c]
+    return values, grads, case_a, l2
+
+
 def spr_value(w, alpha, m):
     """Piecewise penalty of one weight group.
 
@@ -40,19 +84,7 @@ def spr_value(w, alpha, m):
       case C (otherwise):    alpha ||w||2^2 + (1-alpha)
     w = 0 routes to case A with value 0.
     """
-    _check_params(alpha, m)
-    w = np.asarray(w, dtype=float).ravel()
-    l2 = float(np.linalg.norm(w))
-    if l2 == 0.0:
-        return 0.0
-    linf = float(np.max(np.abs(w)))
-    r = math.sqrt(alpha / (1.0 - alpha)) * l2
-    q = linf / m
-    if q <= r <= 1.0:
-        return 2.0 * math.sqrt((1.0 - alpha) * alpha) * l2
-    if r <= q <= 1.0:
-        return alpha * m * l2 * l2 / linf + (1.0 - alpha) * q
-    return alpha * l2 * l2 + (1.0 - alpha)
+    return float(spr_rows(np.reshape(w, (1, -1)), alpha, m)[0][0])
 
 
 def spr_grad(w, alpha, m):
@@ -62,29 +94,19 @@ def spr_grad(w, alpha, m):
     coordinate attaining the max absolute value, carrying its sign.
     Returns 0 at w = 0.
     """
-    _check_params(alpha, m)
     w = np.asarray(w, dtype=float)
-    flat = w.ravel()
-    l2 = float(np.linalg.norm(flat))
-    if l2 == 0.0:
-        return np.zeros_like(w)
-    linf = float(np.max(np.abs(flat)))
-    imax = int(np.argmax(np.abs(flat)))
-    e = np.zeros_like(flat)
-    e[imax] = math.copysign(1.0, flat[imax])
-    r = math.sqrt(alpha / (1.0 - alpha)) * l2
-    q = linf / m
-    if q <= r <= 1.0:
-        g = 2.0 * math.sqrt((1.0 - alpha) * alpha) / l2 * flat
-    elif r <= q <= 1.0:
-        g = (
-            2.0 * alpha * m / linf * flat
-            - alpha * m * l2 * l2 / (linf * linf) * e
-            + (1.0 - alpha) / m * e
-        )
-    else:
-        g = 2.0 * alpha * flat
-    return g.reshape(w.shape)
+    return spr_rows(w.reshape(1, -1), alpha, m)[1].reshape(w.shape)
+
+
+def spr_penalty(mlp, cfg):
+    """lam times the penalty summed over the hidden neurons, added one at a
+    time in neuron order: np.sum and, from Python 3.12, the builtin sum
+    round differently."""
+    total = 0.0
+    for W, b in mlp.layers[:-1]:
+        for v in spr_rows(np.column_stack([W, b]), cfg.alpha, cfg.m)[0].tolist():
+            total += v
+    return cfg.lam * total
 
 
 def regularized_loss(mlp, X, y, cfg):
@@ -95,9 +117,4 @@ def regularized_loss(mlp, X, y, cfg):
     """
     from .nn import cross_entropy_loss
 
-    total = cross_entropy_loss(mlp, X, y)
-    penalty = 0.0
-    for W, b in mlp.layers[:-1]:
-        for j in range(W.shape[0]):
-            penalty += spr_value(np.concatenate([W[j], b[j : j + 1]]), cfg.alpha, cfg.m)
-    return total + cfg.lam * penalty
+    return cross_entropy_loss(mlp, X, y) + spr_penalty(mlp, cfg)

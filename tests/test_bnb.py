@@ -171,5 +171,3 @@ def test_brute_force_budget():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(time_limit_seconds=0)
-    with pytest.raises(ValueError):
-        SolverConfig(abs_gap=-1)

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from prunemip import nn
 from prunemip.nn import TrainConfig, accuracy, init_mlp, sgd_train
 from prunemip.prune import neuron_magnitudes
-from prunemip.spr import SprConfig, regularized_loss, spr_grad, spr_value
+from prunemip.spr import SprConfig, regularized_loss, spr_grad, spr_rows, spr_value
 
 
 def _case(w, alpha, m):
@@ -213,3 +214,113 @@ def test_sparsity_induction_behavioral(separable_data):
     mags = neuron_magnitudes(net)[0]
     assert int((mags < 1e-3).sum()) >= 4  # 25% of 16
     assert accuracy(net, separable_data) >= 0.95
+
+
+# The one-group code that spr_rows and the layer-wide training step replaced,
+# kept as the reference the vectorised kernel must reproduce bit for bit.
+def _ref_value(w, alpha, m):
+    l2 = float(np.linalg.norm(w))
+    if l2 == 0.0:
+        return 0.0
+    linf = float(np.max(np.abs(w)))
+    r = math.sqrt(alpha / (1.0 - alpha)) * l2
+    q = linf / m
+    if q <= r <= 1.0:
+        return 2.0 * math.sqrt((1.0 - alpha) * alpha) * l2
+    if r <= q <= 1.0:
+        return alpha * m * l2 * l2 / linf + (1.0 - alpha) * q
+    return alpha * l2 * l2 + (1.0 - alpha)
+
+
+def _ref_grad(w, alpha, m):
+    l2 = float(np.linalg.norm(w))
+    if l2 == 0.0:
+        return np.zeros_like(w)
+    linf = float(np.max(np.abs(w)))
+    imax = int(np.argmax(np.abs(w)))
+    e = np.zeros_like(w)
+    e[imax] = math.copysign(1.0, w[imax])
+    r = math.sqrt(alpha / (1.0 - alpha)) * l2
+    q = linf / m
+    if q <= r <= 1.0:
+        return 2.0 * math.sqrt((1.0 - alpha) * alpha) / l2 * w
+    if r <= q <= 1.0:
+        return (2.0 * alpha * m / linf * w - alpha * m * l2 * l2 / (linf * linf) * e
+                + (1.0 - alpha) / m * e)
+    return 2.0 * alpha * w
+
+
+def _ref_apply_spr_step(net, reg, lr):
+    slope_a = 2.0 * math.sqrt((1.0 - reg.alpha) * reg.alpha)
+    for li in range(len(net.layers) - 1):
+        W, b = net.layers[li]
+        for j in range(W.shape[0]):
+            grp = np.concatenate([W[j], b[j : j + 1]])
+            l2 = float(np.linalg.norm(grp))
+            if l2 == 0.0:
+                continue
+            linf = float(np.max(np.abs(grp)))
+            r = math.sqrt(reg.alpha / (1.0 - reg.alpha)) * l2
+            if linf / reg.m <= r <= 1.0:
+                shrink = lr * reg.lam * slope_a
+                grp = np.zeros_like(grp) if l2 <= shrink else grp * (1.0 - shrink / l2)
+            else:
+                grp = grp - lr * reg.lam * _ref_grad(grp, reg.alpha, reg.m)
+            W[j] = grp[:-1]
+            b[j] = grp[-1]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_spr_rows_matches_one_group_calls():
+    alpha, m = 0.5, 0.5
+    G = np.array([
+        [0.2, -0.2, 0.2, 0.2, 0.2],  # case A
+        [0.4, 0.1, 0.0, -0.1, 0.05],  # case B
+        [3.0, -1.0, 0.5, 0.2, 0.0],  # case C
+        [0.0, -0.0, 0.0, 0.0, -0.0],  # zero group
+        [-0.3, 0.3, 0.1, 0.3, 0.0],  # case B, |max| tied: the first entry carries it
+    ])
+    assert [_case(row, alpha, m) for row in G] == ["A", "B", "C", "A", "B"]
+    values, grads, case_a, l2 = spr_rows(G, alpha, m)
+    assert case_a.tolist() == [True, False, False, True, False]
+    assert abs(grads[4, 0]) != abs(grads[4, 1])  # the subgradient picked one of the tie
+    for i, row in enumerate(G):
+        assert _bits(values[i]) == _bits(spr_value(row, alpha, m)) == _bits(_ref_value(row, alpha, m))
+        assert _bits(grads[i]) == _bits(spr_grad(row, alpha, m)) == _bits(_ref_grad(row, alpha, m))
+        assert _bits(l2[i]) == _bits(np.linalg.norm(row))
+
+
+def test_spr_rows_bit_identical_to_per_group_reference():
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(3000, 13)) * rng.choice([0.01, 0.1, 0.3, 1.0], size=(3000, 1))
+    G[::97] = 0.0
+    seen = set()
+    for alpha, m in ((0.1, 1.0), (0.5, 0.5), (0.9, 2.0)):
+        values, grads, case_a, l2 = spr_rows(G, alpha, m)
+        for i, row in enumerate(G):
+            seen.add(_case(row, alpha, m))
+            assert _bits(values[i]) == _bits(_ref_value(row, alpha, m))
+            assert _bits(grads[i]) == _bits(_ref_grad(row, alpha, m))
+            assert case_a[i] == (_case(row, alpha, m) == "A")
+    assert seen == {"A", "B", "C"}
+
+
+def test_training_step_bit_identical_to_per_neuron_loop(separable_data, monkeypatch):
+    """The layer-wide SPR step trains to the same bits as the per-neuron loop."""
+    init = init_mlp(6, [10, 8], 3, seed=3)
+    snapped = 0
+    for alpha in (0.1, 0.5, 0.9):
+        cfg = TrainConfig(epochs=8, batch_size=32, learning_rate=0.1, seed=3,
+                          regularizer=SprConfig(0.5, alpha, 1.0))
+        net, hist = sgd_train(init, separable_data, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(nn, "_apply_spr_step", _ref_apply_spr_step)
+            ref, ref_hist = sgd_train(init, separable_data, cfg)
+        for (W, b), (RW, Rb) in zip(net.layers, ref.layers):
+            assert _bits(W) == _bits(RW) and _bits(b) == _bits(Rb)
+        assert hist == ref_hist
+        snapped += sum(int((mags == 0.0).sum()) for mags in neuron_magnitudes(net))
+    assert snapped > 0  # the case-A shrink zeroed some groups
