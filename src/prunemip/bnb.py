@@ -1,4 +1,4 @@
-"""Branch-and-bound over the encoder's models.
+"""Branch-and-bound maximization over the encoder's models.
 
 LP relaxations come from the bounded-variable simplex kernel, where a
 variable bound costs no tableau row; branching fixes ReLU
@@ -30,7 +30,7 @@ class SolverConfig:
     time_limit_seconds: float = 1800.0
 
     def __post_init__(self):
-        if self.time_limit_seconds <= 0:
+        if not self.time_limit_seconds > 0:  # NaN fails too
             raise ValueError("time_limit_seconds must be > 0")
 
 
@@ -56,6 +56,7 @@ def _z_to_neuron(model):
 def solve(model, cfg, mlp=None, trace_log=None, started=None):
     """Maximize the model objective exactly (within ABS_GAP) or until timeout.
 
+    Only maximize models are accepted (every encode_adversarial model is one).
     mlp enables the forward-pass primal heuristic; trace_log, when given,
     receives one "node_id depth bound incumbent" line per processed node.
     started, a time.monotonic() reading, is when the time limit and
@@ -63,10 +64,8 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
     time it spent building the model.
     """
     t0 = time.monotonic() if started is None else started
-    sense_flip = model.objective_sense == "minimize"
-    c = model.objective_vector()
-    if sense_flip:
-        c = -c
+    if model.objective_sense != "maximize":
+        raise ValueError(f"solve maximizes; the model's sense is {model.objective_sense!r}")
     z_info = _z_to_neuron(model)
     z_cols = sorted(z_info)
     base_lo, base_hi = model.lower, model.upper
@@ -101,8 +100,7 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
                 hi[nv.vm] = 0.0
             elif val == 0:
                 hi[nv.vp] = 0.0
-        lp = LinearProgram(model.num_vars, "maximize", c, lo, hi, model.constraints)
-        sol = solve_lp(lp)
+        sol = solve_lp(model.to_lp(lo, hi))
         nodes += 1
         node_id = nodes
         if trace_log is not None:
@@ -114,8 +112,6 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
             continue
         if mlp is not None and model.input_vars:
             point, obj = primal_heuristic(model, sol.primal, mlp)
-            if sense_flip:
-                obj = -obj
             if obj > inc_obj:
                 incumbent, inc_obj = point, obj
         free = [j for j in z_cols if j not in fix]
@@ -142,24 +138,18 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
         best_bound = max([inc_obj] + open_bounds) if (incumbent is not None or open_bounds) else math.inf
         status = "feasible-timeout" if incumbent is not None else "no-incumbent-timeout"
     elif incumbent is None:
-        return SolveReport("infeasible", None, -math.inf if not sense_flip else math.inf,
-                           nodes, wall)
+        return SolveReport("infeasible", None, -math.inf, nodes, wall)
     else:
         best_bound = inc_obj
         status = "optimal"
-    if sense_flip:
-        inc_out = -inc_obj if incumbent is not None else None
-        bb_out = -best_bound
-    else:
-        inc_out = inc_obj if incumbent is not None else None
-        bb_out = best_bound
-    return SolveReport(status, inc_out, bb_out, nodes, wall, incumbent)
+    return SolveReport(status, inc_obj if incumbent is not None else None, best_bound, nodes,
+                       wall, incumbent)
 
 
 def primal_heuristic(model, lp_point, mlp):
     """Feasible assignment from the LP point's input block via a forward pass.
 
-    Returns (assignment, objective in the model's own sense).
+    Returns (assignment, its objective value).
     """
     x = np.asarray(lp_point, dtype=float)[model.input_vars]
     point = assemble_trace(model, mlp, x)

@@ -36,6 +36,8 @@ class InputBox:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("box lower/upper must be 1-d and congruent")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("box lower must be <= upper")
 
@@ -261,11 +263,10 @@ def obbt_tighten(mlp, box, seed_bounds, deadline=None):
             if deadline is not None and time.monotonic() > deadline:
                 return table
             c = np.zeros(n)
-            for i, w in zip(prev, W[j]):
-                c[i] += w
+            c[prev] = W[j]
             for sense, pick in (("maximize", "hi"), ("minimize", "lo")):
-                lp = LinearProgram(n, sense, c, model.lower, model.upper, model.constraints)
-                sol = solve_lp(lp)
+                sol = solve_lp(LinearProgram(n, sense, c, model.lower, model.upper,
+                                             model.constraints))
                 if sol.status != "optimal":
                     raise RuntimeError(
                         f"OBBT relaxation {sol.status} at layer {li} neuron {j}"

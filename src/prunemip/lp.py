@@ -5,15 +5,24 @@ relaxations, and the activation-pattern enumeration oracle. Variables may
 carry finite or infinite bounds; infinities are real ``math.inf`` sentinels,
 never large surrogate constants.
 
-Each variable becomes one nonnegative column with an upper bound (two
-unbounded columns when it is free), and the tableau has one row per
-constraint: bounds never become rows. A nonbasic column sits at 0 or at its
-upper bound u. A column at u is complemented (x -> u - x), which negates it
-and moves u * column into the right-hand side, so every nonbasic column
-reads 0 in the tableau. The ratio test stops where a basic variable reaches
-either of its bounds or where the entering column reaches its own; the last
-case is a bound flip, an iteration without a pivot. Before phase 1 each
-boxed column starts at the bound its phase-2 cost favours.
+The constraint dicts are walked once per call, into a dense matrix A0, the
+right-hand sides and a slack sign per row (+1 for <=, -1 for >=, 0 for =);
+the rest is array operations. Each variable is x = offset + sign * x' with
+x' >= 0: offset lo and sign +1 when lo is finite (x' <= up - lo), offset up
+and sign -1 when only up is finite, offset 0 when free. The column-source
+index src lists each variable once in variable order, a free one twice in
+adjacent columns (the second negated), a fixed one (lo == up) not at all.
+So the columns are A0[:, src] * sign, the right-hand side rhs - A0 @ offset,
+and the primal offset plus a scatter-add of sign * x' over src.
+
+The tableau has one row per constraint: bounds never become rows. A
+nonbasic column sits at 0 or at its upper bound u. A column at u is
+complemented (x -> u - x), which negates it and moves u * column into the
+right-hand side, so every nonbasic column reads 0 in the tableau. The ratio
+test stops where a basic variable reaches either of its bounds or where the
+entering column reaches its own; the last case is a bound flip, an
+iteration without a pivot. Before phase 1 each boxed column starts at the
+bound its phase-2 cost favours.
 """
 
 import math
@@ -28,7 +37,7 @@ _BLAND_FACTOR = 5
 _MAX_ITER = 200_000
 
 LE, EQ, GE = "<=", "=", ">="
-_RELATIONS = (LE, EQ, GE)
+_SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
 
 
 class LpError(ValueError):
@@ -59,37 +68,48 @@ class LpSolution:
     primal: np.ndarray = None
 
 
-def _validate(lp):
+def _read(lp):
+    """Check lp and read its constraints: (A0, rhs, slack sign per row).
+
+    The one walk over the constraint dicts. Indices are range-checked before
+    they index A0, where a negative one would silently wrap around.
+    """
     n = lp.num_vars
     if len(lp.objective) != n or len(lp.lower) != n or len(lp.upper) != n:
         raise LpError("objective/bounds length does not match num_vars")
     if lp.objective_sense not in ("maximize", "minimize"):
         raise LpError(f"unknown objective sense {lp.objective_sense!r}")
-    for ci, con in enumerate(lp.constraints):
-        if con.relation not in _RELATIONS:
-            raise LpError(f"constraint {ci}: unknown relation {con.relation!r}")
-        for j in con.coeffs:
-            if not 0 <= j < n:
-                raise LpError(f"constraint {ci} references variable {j} >= num_vars")
+    m = len(lp.constraints)
+    rhs, slack = np.empty(m), np.empty(m)
+    rows, cols, vals = [], [], []
+    for i, con in enumerate(lp.constraints):
+        if con.relation not in _SLACK_SIGN:
+            raise LpError(f"constraint {i}: unknown relation {con.relation!r}")
+        rhs[i] = con.rhs
+        slack[i] = _SLACK_SIGN[con.relation]
+        rows += [i] * len(con.coeffs)
+        cols += con.coeffs
+        vals += con.coeffs.values()
+    cols = np.array(cols, dtype=np.intp)
+    bad = np.flatnonzero((cols < 0) | (cols >= n))
+    if bad.size:
+        raise LpError(f"constraint {rows[bad[0]]} references variable {cols[bad[0]]} "
+                      f"outside 0..{n - 1}")
+    A0 = np.zeros((m, n))
+    A0[rows, cols] = vals
+    return A0, rhs, slack
 
 
 def check_feasible(lp, point, tol=FEAS_TOL):
     """True iff every bound and constraint holds within tol."""
-    _validate(lp)
+    A0, rhs, slack = _read(lp)
     x = np.asarray(point, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LpError(f"point has length {x.size}, expected {lp.num_vars}")
     if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         return False
-    for con in lp.constraints:
-        lhs = sum(c * x[j] for j, c in con.coeffs.items())
-        if con.relation == LE and lhs > con.rhs + tol:
-            return False
-        if con.relation == GE and lhs < con.rhs - tol:
-            return False
-        if con.relation == EQ and abs(lhs - con.rhs) > tol:
-            return False
-    return True
+    excess = A0 @ x - rhs  # a <= row is violated above rhs, a >= row below
+    return not np.any(np.where(slack == 0.0, np.abs(excess), slack * excess) > tol)
 
 
 def _pivot(T, basis, r, j):
@@ -166,8 +186,8 @@ def _run_simplex(T, basis, ub, flipped, bland_after):
 
 def solve_lp(lp):
     """Two-phase bounded-variable primal simplex on a dense tableau. Deterministic."""
-    _validate(lp)
-    n = lp.num_vars
+    A0, rhs, slack = _read(lp)
+    n, m = lp.num_vars, rhs.size
     lo = np.asarray(lp.lower, dtype=float)
     up = np.asarray(lp.upper, dtype=float)
     if np.any(lo > up):
@@ -175,62 +195,31 @@ def solve_lp(lp):
     c_orig = np.asarray(lp.objective, dtype=float)
     sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
 
-    # Column layout for the standard form. Every original variable maps to
-    # nonnegative column(s) via shift / mirror / split, each with an upper
-    # bound (finite only for shifted variables) and a phase-2 cost in the
-    # minimization sense; l == u variables are substituted out as constants.
-    col_of = [None] * n  # (kind, data...)
-    col_ub = []
-    c2 = []
-    for i in range(n):
-        if lo[i] == up[i]:
-            col_of[i] = ("fixed", lo[i])
-            continue
-        if math.isfinite(lo[i]):
-            col_of[i] = ("shift", len(col_ub), lo[i])
-            col_ub.append(up[i] - lo[i])
-            c2.append(sgn * c_orig[i])
-        elif math.isfinite(up[i]):
-            col_of[i] = ("mirror", len(col_ub), up[i])
-            col_ub.append(math.inf)
-            c2.append(-sgn * c_orig[i])
-        else:
-            col_of[i] = ("split", len(col_ub), len(col_ub) + 1)
-            col_ub += [math.inf, math.inf]
-            c2 += [sgn * c_orig[i], -sgn * c_orig[i]]
-    ncols = len(col_ub)
-
-    m = len(lp.constraints)
-    nslack = sum(1 for con in lp.constraints if con.relation != EQ)
+    # Standard form x = offset + sign * x' (see the module docstring), with
+    # phase-2 costs in the minimization sense.
+    fixed = lo == up
+    shifted = ~fixed & np.isfinite(lo)
+    mirrored = ~fixed & ~shifted & np.isfinite(up)
+    free = ~(fixed | shifted | mirrored)
+    offset = np.where(mirrored, up, np.where(free, 0.0, lo))
+    var_ub = np.full(n, math.inf)
+    var_ub[shifted] = up[shifted] - lo[shifted]
+    src = np.repeat(np.arange(n), np.where(fixed, 0, np.where(free, 2, 1)))
+    sign = np.where(mirrored, -1.0, 1.0)[src]
+    sign[1:][src[1:] == src[:-1]] = -1.0  # the second column of a free variable
+    ncols = src.size
+    ineq = np.flatnonzero(slack)
+    nslack = ineq.size
+    slack_cols = ncols + np.arange(nslack)
     A = np.zeros((m, ncols + nslack))
-    b = np.zeros(m)
-    slack_of = [-1] * m
-    k = ncols
-    for i, con in enumerate(lp.constraints):
-        rhs = con.rhs
-        for j, a in con.coeffs.items():
-            kind = col_of[j]
-            if kind[0] == "fixed":
-                rhs -= a * kind[1]
-            elif kind[0] == "shift":
-                A[i, kind[1]] += a
-                rhs -= a * kind[2]
-            elif kind[0] == "mirror":
-                A[i, kind[1]] -= a
-                rhs -= a * kind[2]
-            else:
-                A[i, kind[1]] += a
-                A[i, kind[2]] -= a
-        b[i] = rhs
-        if con.relation != EQ:
-            A[i, k] = 1.0 if con.relation == LE else -1.0
-            slack_of[i] = k
-            k += 1
+    A[:, :ncols] = A0[:, src] * sign
+    A[ineq, slack_cols] = slack[ineq]
+    b = rhs - A0 @ offset
 
     # Crash start: a boxed column whose phase-2 cost favours its upper bound
     # starts there.
-    ub = np.concatenate([col_ub, np.full(nslack, math.inf)])
-    c2 = np.concatenate([c2, np.zeros(nslack)])
+    ub = np.concatenate([var_ub[src], np.full(nslack, math.inf)])
+    c2 = np.concatenate([sgn * sign * c_orig[src], np.zeros(nslack)])
     flipped = np.isfinite(ub) & (c2 < 0.0)
     b -= A[:, flipped] @ ub[flipped]
     A[:, flipped] *= -1.0
@@ -240,25 +229,21 @@ def solve_lp(lp):
 
     # Initial basis: row's own slack when it survives the sign flip with a +1
     # coefficient; otherwise an artificial.
-    basis = np.empty(m, dtype=int)
-    art_rows = []
-    for i in range(m):
-        if slack_of[i] >= 0 and A[i, slack_of[i]] > 0:
-            basis[i] = slack_of[i]
-        else:
-            art_rows.append(i)
-            basis[i] = -1  # patched below
-    nart = len(art_rows)
+    own = np.zeros(m, dtype=bool)
+    own[ineq] = A[ineq, slack_cols] > 0
+    art_rows = np.flatnonzero(~own)
+    nart = art_rows.size
     nreal = ncols + nslack
+    basis = np.empty(m, dtype=int)
+    basis[ineq] = slack_cols
+    basis[art_rows] = nreal + np.arange(nart)
     # artificials are unbounded above, so they are never flipped
     ub = np.concatenate([ub, np.full(nart, math.inf)])
     flipped = np.concatenate([flipped, np.zeros(nart, dtype=bool)])
     T = np.zeros((m + 1, nreal + nart + 1))
     T[1:, :nreal] = A
     T[1:, -1] = b
-    for idx, i in enumerate(art_rows):
-        T[i + 1, nreal + idx] = 1.0
-        basis[i] = nreal + idx
+    T[art_rows + 1, nreal + np.arange(nart)] = 1.0
     bland_after = _BLAND_FACTOR * (n + m)
 
     if nart:
@@ -297,16 +282,7 @@ def solve_lp(lp):
     vals = np.zeros(nreal)
     vals[basis] = T[1:, -1]
     vals[flipped] = ub[flipped] - vals[flipped]
-    x = np.empty(n)
-    for i in range(n):
-        kind = col_of[i]
-        if kind[0] == "fixed":
-            x[i] = kind[1]
-        elif kind[0] == "shift":
-            x[i] = kind[2] + vals[kind[1]]
-        elif kind[0] == "mirror":
-            x[i] = kind[2] - vals[kind[1]]
-        else:
-            x[i] = vals[kind[1]] - vals[kind[2]]
+    x = offset.copy()
+    np.add.at(x, src, sign * vals[:ncols])
     obj = float(c_orig @ x)
     return LpSolution("optimal", objective=obj, primal=x)

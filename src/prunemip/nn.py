@@ -81,9 +81,9 @@ class TrainConfig:
     regularizer: object = None  # optional SprConfig
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN fails too
             raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.epochs < 0:
+        if not (self.batch_size >= 1 and self.epochs >= 0):
             raise ValueError("batch_size >= 1 and epochs >= 0 required")
 
 
@@ -174,18 +174,17 @@ def accuracy(mlp, data):
     return float((logits.argmax(axis=1) == data.labels).mean())
 
 
-def sgd_train(mlp, data, cfg, val_data=None):
+def sgd_train(mlp, data, cfg):
     """Plain SGD on shuffled mini-batches; optional SPR regularizer.
 
     Returns (trained Mlp, history), history being one dict per epoch with
-    the mean training loss and the accuracy on val_data (train data if None).
+    the mean training loss and the accuracy on the training data.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
     reg = cfg.regularizer
     net = mlp.copy()
     rng = np.random.default_rng(cfg.seed)
-    eval_data = val_data if val_data is not None else data
     history = []
     n = len(data)
     for epoch in range(cfg.epochs):
@@ -202,7 +201,7 @@ def sgd_train(mlp, data, cfg, val_data=None):
             if reg is not None and reg.lam > 0:
                 _apply_spr_step(net, reg, lr)
             losses.append(cross_entropy_loss(net, X, y))
-        entry = {"epoch": epoch, "loss": float(np.mean(losses)), "accuracy": accuracy(net, eval_data)}
+        entry = {"epoch": epoch, "loss": float(np.mean(losses)), "accuracy": accuracy(net, data)}
         if reg is not None:
             entry["spr_penalty"] = spr_penalty(net, reg)
         history.append(entry)

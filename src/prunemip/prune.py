@@ -18,8 +18,7 @@ class PruneReport:
     removed: list  # removed neuron count per hidden layer
     pruned_arch: str
     threshold: float
-    pre_accuracy: float = None
-    post_accuracy: float = None
+    post_accuracy: float = None  # of the fine-tuned net, set by prune_pipeline
 
     @property
     def neurons_removed(self):
@@ -34,7 +33,7 @@ def neuron_magnitudes(mlp):
     ]
 
 
-def threshold_prune(mlp, tau, data=None):
+def threshold_prune(mlp, tau):
     """Remove hidden neuron j iff max(|incoming weights| U |bias|) < tau.
 
     Removal deletes row j of (W, b) and the matching column of the next
@@ -66,18 +65,15 @@ def threshold_prune(mlp, tau, data=None):
         pruned_arch=format_arch([int(k.sum()) for k in keep_masks]),
         threshold=tau,
     )
-    if data is not None:
-        report.pre_accuracy = accuracy(mlp, data)
-        report.post_accuracy = accuracy(pruned, data)
     return pruned, report
 
 
-def fine_tune(mlp, data, epochs, cfg, val_data=None):
+def fine_tune(mlp, data, epochs, cfg):
     """Plain SGD recovery pass after pruning; refuses a regularized config."""
     if cfg.regularizer is not None:
         raise ValueError("fine_tune requires a config without a regularizer")
     ft_cfg = replace(cfg, epochs=epochs)
-    net, _ = sgd_train(mlp, data, ft_cfg, val_data=val_data)
+    net, _ = sgd_train(mlp, data, ft_cfg)
     return net
 
 
@@ -87,7 +83,6 @@ def prune_pipeline(
     grid,
     base_cfg,
     tau=1e-3,
-    val_data=None,
     fine_tune_epochs=10,
     acc_floor=0.005,
 ):
@@ -102,23 +97,22 @@ def prune_pipeline(
     """
     if not grid:
         raise ValueError("empty grid")
-    eval_data = val_data if val_data is not None else data
     init = init_mlp(data.inputs.shape[1], hidden_widths, data.num_classes, base_cfg.seed)
     plain_cfg = replace(base_cfg, regularizer=None)
-    baseline, _ = sgd_train(init, data, plain_cfg, val_data=val_data)
-    base_acc = accuracy(baseline, eval_data)
+    baseline, _ = sgd_train(init, data, plain_cfg)
+    base_acc = accuracy(baseline, data)
     log = [{"kind": "baseline", "arch": format_arch(hidden_widths), "accuracy": base_acc}]
     candidates = []
     for cfg in grid:
-        trained, _ = sgd_train(init, data, replace(base_cfg, regularizer=cfg), val_data=val_data)
+        trained, _ = sgd_train(init, data, replace(base_cfg, regularizer=cfg))
         try:
-            pruned, report = threshold_prune(trained, tau, data=eval_data)
+            pruned, report = threshold_prune(trained, tau)
         except OverPrunedError as exc:
             log.append({"kind": "grid", "lambda": cfg.lam, "alpha": cfg.alpha, "m": cfg.m,
                         "tau": tau, "error": str(exc)})
             continue
-        tuned = fine_tune(pruned, data, fine_tune_epochs, plain_cfg, val_data=val_data)
-        acc = accuracy(tuned, eval_data)
+        tuned = fine_tune(pruned, data, fine_tune_epochs, plain_cfg)
+        acc = accuracy(tuned, data)
         report.post_accuracy = acc
         remaining = sum(report.kept)
         log.append({

@@ -24,14 +24,14 @@ class SprConfig:
 
     def __post_init__(self):
         _check_params(self.alpha, self.m)
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN fails too
             raise ValueError("lam must be >= 0")
 
 
 def _check_params(alpha, m):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if m <= 0:
+    if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
 
 

@@ -37,6 +37,9 @@ def test_no_binaries_is_single_node():
     assert report.nodes == 1
     logits, _ = forward(net, x)
     assert report.incumbent_obj == pytest.approx(logits[1] - logits[0], abs=1e-7)
+    model.objective_sense = "minimize"  # solve maximizes only
+    with pytest.raises(ValueError):
+        solve(model, SolverConfig(), mlp=net)
 
 
 def test_oracle_equivalence_sample():
@@ -171,3 +174,6 @@ def test_brute_force_budget():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(time_limit_seconds=0)
+    with pytest.raises(ValueError):
+        SolverConfig(float("nan"))
+    assert SolverConfig(math.inf).time_limit_seconds == math.inf

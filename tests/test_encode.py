@@ -155,6 +155,21 @@ def test_adversarial_invalid_classes():
         encode_adversarial(net, x, -0.5, 0, 1)
 
 
+def test_non_finite_box_rejected():
+    for lo, hi in (([math.nan], [1.0]), ([0.0], [math.nan]), ([-math.inf], [1.0]),
+                   ([0.0], [math.inf])):
+        with pytest.raises(ValueError):
+            InputBox(np.array(lo), np.array(hi))
+    net = random_net(7, classes=3)
+    x = np.full(net.input_dim, 0.5)
+    with pytest.raises(ValueError):
+        encode_adversarial(net, x, math.nan, 0, 1)
+    with pytest.raises(ValueError):
+        encode_adversarial(net, x, math.inf, 0, 1, clamp=False)
+    model = encode_adversarial(net, x, math.inf, 0, 1)  # clamped onto [0, 1]
+    assert np.array_equal(model.upper[model.input_vars], np.ones(net.input_dim))
+
+
 def test_pruned_model_strictly_smaller(separable_data, trained_1x16):
     from prunemip.prune import threshold_prune
     from prunemip.nn import TrainConfig, init_mlp, sgd_train

@@ -67,6 +67,8 @@ def test_malformed_dimensions_rejected():
         solve_lp(lp(1, "maximize", [1, 2], [0], [1], []))
     with pytest.raises(LpError):
         solve_lp(lp(1, "maximize", [1], [0], [1], [Constraint({3: 1.0}, LE, 0.0)]))
+    with pytest.raises(LpError):  # would wrap around as a numpy index
+        solve_lp(lp(2, "maximize", [1, 1], [0, 0], [1, 1], [Constraint({-1: 1.0}, LE, 0.0)]))
     with pytest.raises(LpError):
         solve_lp(lp(1, "sideways", [1], [0], [1], []))
 
@@ -77,6 +79,21 @@ def test_check_feasible_boundary_and_violation():
     assert not check_feasible(problem, [5.0 + 1e-3], 1e-9)
     with pytest.raises(LpError):
         check_feasible(problem, [1.0, 2.0], 1e-9)
+    tol = 1e-6
+    for relation, inside, outside in ((LE, [0.5], [2.0]), (GE, [-0.5], [-2.0]),
+                                      (EQ, [0.5, -0.5], [2.0, -2.0])):
+        # x0 + 2 x1 (relation) 5 at the boundary point (1, 2), moved along x0
+        problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF],
+                     [Constraint({0: 1.0, 1: 2.0}, relation, 5.0)])
+        for step in inside:
+            assert check_feasible(problem, [1.0 + step * tol, 2.0], tol), (relation, step)
+        for step in outside:
+            assert not check_feasible(problem, [1.0 + step * tol, 2.0], tol), (relation, step)
+    # only a variable bound is violated: x0 in [0, 4], the row x0 + x1 = 4 holds
+    problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF], [Constraint({0: 1.0, 1: 1.0}, EQ, 4.0)])
+    for x0, feasible in ((4.0 + 0.5 * tol, True), (4.0 + 2 * tol, False),
+                         (-0.5 * tol, True), (-2 * tol, False)):
+        assert check_feasible(problem, [x0, 4.0 - x0], tol) == feasible, x0
 
 
 def _random_lp(seed):

@@ -223,3 +223,10 @@ def test_mlp_validation():
         Mlp([(np.zeros((2, 3)), np.zeros(2)), (np.zeros((2, 5)), np.zeros(2))])
     with pytest.raises(ValueError):
         Mlp([(np.full((1, 1), np.nan), np.zeros(1))])
+
+
+def test_train_config_validation():
+    for kwargs in ({"learning_rate": -0.1}, {"learning_rate": float("nan")},
+                   {"batch_size": 0}, {"epochs": -1}):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)

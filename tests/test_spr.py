@@ -60,6 +60,9 @@ def test_invalid_params_rejected():
         SprConfig(-1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         SprConfig(0.5, 1.5, 1.0)
+    for lam, alpha, m in ((math.nan, 0.5, 1.0), (0.1, math.nan, 1.0), (0.1, 0.5, math.nan)):
+        with pytest.raises(ValueError):
+            SprConfig(lam, alpha, m)
 
 
 def test_value_matches_direct_piecewise_evaluation():

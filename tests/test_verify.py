@@ -42,6 +42,15 @@ def test_build_instance_rejects_misclassified():
         build_instance(net, x, wrong, 0.1)
 
 
+def test_non_finite_delta_rejected():
+    net = random_net(0, input_dim=3, classes=3)
+    x = np.full(3, 0.5)
+    label = int(np.argmax(forward(net, x)[0]))
+    for delta, clamp in ((math.nan, True), (math.inf, False)):
+        with pytest.raises(ValueError):
+            verify(build_instance(net, x, label, delta, clamp=clamp))
+
+
 def test_delta_zero_always_robust():
     for seed in range(10):
         net = random_net(seed + 10, classes=3)
