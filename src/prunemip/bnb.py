@@ -1,11 +1,12 @@
 """Branch-and-bound maximization over the encoder's models.
 
-LP relaxations come from the bounded-variable simplex kernel, where a
-variable bound costs no tableau row; branching fixes ReLU
-indicator binaries (most-fractional first). Fixing z tightens the child's
-variable bounds (z=1 pins vm to 0, z=0 pins vp to 0) instead of adding rows,
-so LP size stays constant down the tree. A network-forward primal heuristic
-runs at every feasible node. A node is pruned once its bound exceeds the
+A model is its own LP relaxation, solved by the bounded-variable simplex
+kernel, where a variable bound costs no tableau row; a node LP is the model
+with the node's bounds. Branching fixes the model's binaries
+(most-fractional first). Fixing a ReLU indicator z also tightens the
+child's variable bounds (z=1 pins vm to 0, z=0 pins vp to 0) instead of
+adding rows, so LP size stays constant down the tree. A network-forward
+primal heuristic runs at every feasible node. A node is pruned once its bound exceeds the
 incumbent by no more than ABS_GAP; the time limit is the only setting.
 Single-threaded, deterministic node accounting.
 """
@@ -14,7 +15,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,15 +45,6 @@ class SolveReport:
     incumbent_point: np.ndarray = None
 
 
-def _z_to_neuron(model):
-    mapping = {}
-    for layer in model.neurons:
-        for nv in layer:
-            if nv.z is not None:
-                mapping[nv.z] = nv
-    return mapping
-
-
 def solve(model, cfg, mlp=None, trace_log=None, started=None):
     """Maximize the model objective exactly (within ABS_GAP) or until timeout.
 
@@ -66,8 +58,9 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
     t0 = time.monotonic() if started is None else started
     if model.objective_sense != "maximize":
         raise ValueError(f"solve maximizes; the model's sense is {model.objective_sense!r}")
-    z_info = _z_to_neuron(model)
-    z_cols = sorted(z_info)
+    z_cols = np.flatnonzero(model.is_binary).tolist()
+    # the encoder's neurons add bound pins; any other binary is pinned by its rows alone
+    z_info = {nv.z: nv for layer in model.neurons for nv in layer if nv.z is not None}
     base_lo, base_hi = model.lower, model.upper
 
     incumbent = None
@@ -95,12 +88,10 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
         hi = base_hi.copy()
         for zj, val in fix.items():
             lo[zj] = hi[zj] = float(val)
-            nv = z_info[zj]
-            if val == 1 and nv.vm is not None:
-                hi[nv.vm] = 0.0
-            elif val == 0:
-                hi[nv.vp] = 0.0
-        sol = solve_lp(model.to_lp(lo, hi))
+            nv = z_info.get(zj)
+            if nv is not None:
+                hi[nv.vm if val == 1 else nv.vp] = 0.0
+        sol = solve_lp(replace(model, lower=lo, upper=hi))
         nodes += 1
         node_id = nodes
         if trace_log is not None:
@@ -153,7 +144,7 @@ def primal_heuristic(model, lp_point, mlp):
     """
     x = np.asarray(lp_point, dtype=float)[model.input_vars]
     point = assemble_trace(model, mlp, x)
-    return point, float(model.objective_vector() @ point)
+    return point, float(model.objective @ point)
 
 
 def brute_force_verify(mlp, box, k, h, max_unstable=20):

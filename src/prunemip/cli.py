@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .archs import ArchError, format_arch, parse_arch
+from .archs import format_arch, parse_arch
 from .bnb import SolverConfig
 from .data import gen_synthetic, load_mnist
 from .encode import encode_adversarial, export_lp
@@ -25,6 +25,7 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_TIMEOUT = 2
 EXIT_MISCLASSIFIED = 3
 EXIT_UNKNOWN = 4
+EXIT_USAGE = 64  # sysexits EX_USAGE: a bad argument, distinct from every verdict
 
 BENCH_HEADER = ["arch", "lambda_alpha", "accuracy", "time_s", "nodes", "pruned_arch", "found"]
 
@@ -59,7 +60,7 @@ def _parse_synth_spec(spec, seed):
         key, _, val = part.partition("=")
         key = key.strip()
         if key not in fields:
-            raise SystemExit(f"unknown synthetic field {key!r}")
+            raise ValueError(f"unknown synthetic field {key!r}")
         fields[key] = float(val) if key == "margin" else int(val)
     return gen_synthetic(fields["dims"], fields["classes"], fields["samples"], fields["margin"], seed)
 
@@ -71,10 +72,7 @@ def _load_data(args, split="train"):
 
 
 def cmd_train(args):
-    try:
-        widths = parse_arch(args.arch)
-    except ArchError as exc:
-        raise SystemExit(str(exc))
+    widths = parse_arch(args.arch)
     data = _load_data(args)
     reg = None
     if args.spr_lambda is not None:
@@ -145,19 +143,23 @@ def _resolve_units_clamp(args):
     return units, clamp
 
 
-def cmd_verify(args):
+def _instance(args):
+    """The verification instance that the verify and export-lp flags name.
+
+    Raises InvalidInstanceError when the clean input is misclassified.
+    """
     mlp, _ = load_model(args.model)
     x, label = _pick_instance(mlp, args)
     units, clamp = _resolve_units_clamp(args)
-    try:
-        inst = build_instance(mlp, x, label, args.delta, units=units, clamp=clamp)
-    except InvalidInstanceError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_MISCLASSIFIED
+    return build_instance(mlp, x, label, args.delta, units=units, clamp=clamp)
+
+
+def cmd_verify(args):
+    inst = _instance(args)
     cfg = SolverConfig(time_limit_seconds=args.time_limit)
     verdict = verify(inst, cfg, bounds_mode="obbt" if args.obbt else "interval")
     doc = verdict.to_json(config={
-        "delta": args.delta, "units": units, "clamp": clamp,
+        "delta": args.delta, "units": inst.units, "clamp": inst.clamp,
         "time_limit": args.time_limit, "obbt": args.obbt, "k": inst.k, "h": inst.h,
     })
     if args.out:
@@ -200,16 +202,12 @@ def cmd_bench(args):
 
 
 def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_limit, extras):
-    data_args = argparse.Namespace(mnist=args.mnist, synthetic=args.synthetic,
-                                   data_seed=args.data_seed)
-    data = _load_data(data_args)
+    data = _load_data(args)
     cfg = TrainConfig(epochs, args.batch, args.lr, seed)
     grid = [SprConfig(l, a, args.spr_m) for l in lambdas for a in alphas]
     pruned, report, log = prune_pipeline(widths, data, grid, cfg, tau=args.tau,
                                          fine_tune_epochs=args.fine_tune_epochs)
-    baseline = init_mlp(data.inputs.shape[1], widths, data.num_classes, seed)
-    baseline, _ = sgd_train(baseline, data, cfg)
-    selected = next(r for r in log if r.get("kind") == "selected")
+    baseline = report.baseline
     grid_best = next(
         (f"{r['lambda']}-{r['alpha']}" for r in log
          if r.get("kind") == "grid" and r.get("pruned_arch") == report.pruned_arch),
@@ -252,11 +250,8 @@ def _first_correct(mlp, data):
 
 
 def cmd_export_lp(args):
-    mlp, _ = load_model(args.model)
-    x, label = _pick_instance(mlp, args)
-    units, clamp = _resolve_units_clamp(args)
-    inst = build_instance(mlp, x, label, args.delta, units=units, clamp=clamp)
-    model = encode_adversarial(mlp, inst.x, inst.effective_delta, inst.k, inst.h,
+    inst = _instance(args)
+    model = encode_adversarial(inst.mlp, inst.x, inst.effective_delta, inst.k, inst.h,
                                bounds_mode="obbt" if args.obbt else "interval",
                                clamp=inst.clamp)
     export_lp(model, args.out)
@@ -294,10 +289,18 @@ def _add_verify_flags(p):
     p.add_argument("--label", type=int, help="true class for --input vectors")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is EXIT_TIMEOUT here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="prunemip",
-                                     description="Train, prune, and verify small ReLU networks "
-                                                 "via MILP branch-and-bound.")
+    parser = _Parser(prog="prunemip",
+                     description="Train, prune, and verify small ReLU networks "
+                                 "via MILP branch-and-bound.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -366,8 +369,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a value the library rejects exits EXIT_USAGE."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidInstanceError as exc:
+        print(f"invalid instance: {exc}", file=sys.stderr)
+        return EXIT_MISCLASSIFIED
+    except ValueError as exc:
+        print(f"prunemip: error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ lies on one side of zero need no binary and are encoded stably.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,46 +83,22 @@ class NeuronVars:
     z: int = None
 
 
-@dataclass
-class MipModel:
+@dataclass(kw_only=True)
+class MipModel(LinearProgram):
+    """A MILP that is its own continuous relaxation: the LinearProgram
+    fields, with binaries relaxed into their [0, 1] bounds, plus the
+    integrality marks and the encoder's metadata."""
+
     names: list
-    lower: np.ndarray
-    upper: np.ndarray
     is_binary: np.ndarray
-    constraints: list
-    objective_sense: str = "maximize"
-    objective: dict = field(default_factory=dict)
-    var_index: dict = field(default_factory=dict)
     # encoder metadata consumed by the solver and the primal heuristic
     input_vars: list = field(default_factory=list)
     output_vars: list = field(default_factory=list)
     neurons: list = field(default_factory=list)  # list per layer of list[NeuronVars]
 
     @property
-    def num_vars(self):
-        return len(self.names)
-
-    @property
     def num_binaries(self):
         return int(self.is_binary.sum())
-
-    def objective_vector(self):
-        """The objective as a dense coefficient vector, in the model's own sense."""
-        c = np.zeros(self.num_vars)
-        for j, v in self.objective.items():
-            c[j] = v
-        return c
-
-    def to_lp(self, lower=None, upper=None):
-        """Continuous relaxation (binaries relaxed into their [0,1] bounds)."""
-        return LinearProgram(
-            self.num_vars,
-            self.objective_sense,
-            self.objective_vector(),
-            self.lower if lower is None else lower,
-            self.upper if upper is None else upper,
-            self.constraints,
-        )
 
 
 def interval_bounds(mlp, box):
@@ -167,16 +143,18 @@ class _ModelBuilder:
         self.add_con(row, EQ, bias)
 
     def finish(self, **meta):
-        model = MipModel(
-            names=self.names,
+        n = len(self.names)
+        return MipModel(
+            num_vars=n,
+            objective_sense="maximize",
+            objective=np.zeros(n),
             lower=np.array(self.lower, dtype=float),
             upper=np.array(self.upper, dtype=float),
-            is_binary=np.array(self.binary, dtype=bool),
             constraints=self.constraints,
-            var_index={n: i for i, n in enumerate(self.names)},
+            names=self.names,
+            is_binary=np.array(self.binary, dtype=bool),
             **meta,
         )
-        return model
 
 
 def _encode_hidden(layers, box, bounds, eliminate_stable=True):
@@ -241,8 +219,10 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
 def obbt_tighten(mlp, box, seed_bounds, deadline=None):
     """Tighten each neuron's pre-activation bounds with two LPs per neuron.
 
-    Layers are processed in ascending order so every LP sees final bounds for
-    all predecessor layers; results are intersected with the seed bounds.
+    Over a box the LP bounds of the first hidden layer are its interval
+    bounds, so layer 0 takes those and runs no LP. Later layers are
+    processed in ascending order so every LP sees final bounds for all
+    predecessor layers; results are intersected with the seed bounds.
     Once time.monotonic() passes deadline (if given), the table is returned
     as it stands between neurons: untightened entries keep their seed bounds,
     so every entry is still valid, and only layers tightened in full are
@@ -253,20 +233,22 @@ def obbt_tighten(mlp, box, seed_bounds, deadline=None):
     los = [lo.copy() for lo in seed_bounds.lo]
     his = [hi.copy() for hi in seed_bounds.hi]
     table = BoundsTable(los, his, list(seed_bounds.provenance))
-    for li in range(len(mlp.layers) - 1):
+    first = interval_bounds(mlp, box)
+    los[0] = np.maximum(los[0], first.lo[0])
+    his[0] = np.minimum(his[0], first.hi[0])
+    table.provenance[0] = "obbt"
+    for li in range(1, len(mlp.layers) - 1):
         W, b = mlp.layers[li]
         # the encoder's own rows for layers < li; LPs ignore integrality
         bld, _, _, prev = _encode_hidden(mlp.layers[:li], box, table)
-        model = bld.finish()
-        n = model.num_vars
+        prefix = bld.finish()
         for j in range(W.shape[0]):
             if deadline is not None and time.monotonic() > deadline:
                 return table
-            c = np.zeros(n)
+            c = np.zeros(prefix.num_vars)
             c[prev] = W[j]
             for sense, pick in (("maximize", "hi"), ("minimize", "lo")):
-                sol = solve_lp(LinearProgram(n, sense, c, model.lower, model.upper,
-                                             model.constraints))
+                sol = solve_lp(replace(prefix, objective_sense=sense, objective=c))
                 if sol.status != "optimal":
                     raise RuntimeError(
                         f"OBBT relaxation {sol.status} at layer {li} neuron {j}"
@@ -306,8 +288,8 @@ def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True,
     elif bounds_mode != "interval":
         raise ValueError(f"unknown bounds mode {bounds_mode!r}")
     model = encode_network(mlp, box, bounds)
-    model.objective = {model.output_vars[h]: 1.0, model.output_vars[k]: -1.0}
-    model.objective_sense = "maximize"
+    model.objective[model.output_vars[h]] = 1.0
+    model.objective[model.output_vars[k]] = -1.0
     return model
 
 
@@ -354,12 +336,14 @@ def _expr(coeffs, names):
 def write_lp(model):
     """Deterministic LP-format text; re-parsing our output is byte-stable.
 
-    Bounds and Binaries are listed in order of first appearance in the
-    document (objective, then constraints), which is exactly the variable
-    order parse_lp reconstructs — so write -> parse -> write is the identity.
+    The objective lists its nonzero coefficients in column order. Bounds
+    and Binaries are listed in order of first appearance in the document
+    (objective, then constraints), which is exactly the variable order
+    parse_lp reconstructs — so write -> parse -> write is the identity.
     """
+    objective = {j: model.objective[j] for j in np.flatnonzero(model.objective).tolist()}
     order = {}
-    for j in model.objective:
+    for j in objective:
         order.setdefault(j, len(order))
     for con in model.constraints:
         for j in con.coeffs:
@@ -369,7 +353,7 @@ def write_lp(model):
     columns = sorted(range(model.num_vars), key=order.__getitem__)
 
     lines = [model.objective_sense.capitalize()]
-    lines.append(f" obj: {_expr(model.objective, model.names)}")
+    lines.append(f" obj: {_expr(objective, model.names)}")
     lines.append("Subject To")
     for i, con in enumerate(model.constraints):
         lines.append(f" c{i}: {_expr(con.coeffs, model.names)} {con.relation} {_num(con.rhs)}")
@@ -490,13 +474,15 @@ def parse_lp(text):
                 lower[j], upper[j] = 0.0, 1.0
     if sense is None:
         raise ValueError("LP text has no objective section")
+    c = np.zeros(len(names))
+    c[list(objective)] = list(objective.values())
     return MipModel(
-        names=names,
+        num_vars=len(names),
+        objective_sense=sense,
+        objective=c,
         lower=np.array(lower, dtype=float),
         upper=np.array(upper, dtype=float),
-        is_binary=np.array(binary, dtype=bool),
         constraints=constraints,
-        objective_sense=sense,
-        objective=objective,
-        var_index=var_index,
+        names=names,
+        is_binary=np.array(binary, dtype=bool),
     )

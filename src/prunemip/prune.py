@@ -19,6 +19,7 @@ class PruneReport:
     pruned_arch: str
     threshold: float
     post_accuracy: float = None  # of the fine-tuned net, set by prune_pipeline
+    baseline: Mlp = None  # the unregularized net prune_pipeline trained, set by it
 
     @property
     def neurons_removed(self):
@@ -93,7 +94,8 @@ def prune_pipeline(
     floor, the highest-accuracy candidate is returned flagged "floor unmet".
 
     Returns (selected Mlp, PruneReport, log), log being one dict per grid
-    point plus a "baseline" entry.
+    point plus a "baseline" entry; the report's baseline is the plain-SGD
+    net the floor was measured on.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -132,6 +134,7 @@ def prune_pipeline(
         flag = "floor unmet"
     log.append({"kind": "selected", "pruned_arch": report.pruned_arch, "accuracy": acc,
                 "baseline_accuracy": base_acc, "flag": flag})
+    report.baseline = baseline
     return net, report, log
 
 

@@ -99,10 +99,9 @@ def test_criterion_02_encoder_soundness_sampled_traces():
         net = random_net(20_000 + seed)
         box = InputBox(np.zeros(net.input_dim), np.ones(net.input_dim))
         model = encode_network(net, box, interval_bounds(net, box))
-        lp = model.to_lp()
         X = rng.uniform(0, 1, size=(10_000, net.input_dim))
         for x in X:
-            assert check_feasible(lp, assemble_trace(model, net, x), 1e-7)
+            assert check_feasible(model, assemble_trace(model, net, x), 1e-7)
             checked += 1
     _report(2, checked == 200_000,
             f"{checked} sampled traces MIP-feasible at 1e-7 over 20 instances")

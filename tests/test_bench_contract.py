@@ -41,7 +41,7 @@ def test_traced_verify_fills_the_layer_metrics():
     nodes = verdict.report.nodes
     assert nodes > 1
     assert metrics["bnb.lp_solves"] == metrics["bnb.nodes_base"] == nodes
-    assert metrics["encode.obbt_lps"] == 2 * sum(net.hidden_widths)
+    assert metrics["encode.obbt_lps"] == 2 * sum(net.hidden_widths[1:])
     assert metrics["lp.rows_mean"] > 0
 
 

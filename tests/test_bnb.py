@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from prunemip.bnb import SolverConfig, brute_force_verify, primal_heuristic, solve
-from prunemip.encode import InputBox, encode_adversarial, encode_network, interval_bounds
+from prunemip.encode import (InputBox, encode_adversarial, encode_network, interval_bounds,
+                             parse_lp, write_lp)
 from prunemip.lp import check_feasible, solve_lp
 from prunemip.nn import forward
 
@@ -63,6 +64,22 @@ def test_oracle_equivalence_sample():
     assert matched >= 25
 
 
+def test_parsed_model_branches_on_its_binaries():
+    """A model read back from LP text carries no encoder metadata; B&B still
+    branches on its binaries and reaches the encoder model's optimum."""
+    branched = 0
+    for seed in range(12):
+        net, box, k, h, model = _adversarial_instance(seed)
+        truth = brute_force_verify(net, box, k, h)
+        direct = solve(model, SolverConfig(), mlp=net)
+        parsed = solve(parse_lp(write_lp(model)), SolverConfig())
+        assert parsed.status == direct.status == "optimal"
+        assert parsed.incumbent_obj == pytest.approx(direct.incumbent_obj, abs=1e-5)
+        assert parsed.incumbent_obj == pytest.approx(truth, abs=1e-5)
+        branched += parsed.nodes > 1
+    assert branched >= 4
+
+
 def test_infeasible_injected_bounds():
     net, box, k, h, model = _adversarial_instance(3)
     model.lower[model.output_vars[0]] = 1.0
@@ -98,7 +115,7 @@ def test_heuristic_center_margin():
     point, obj = primal_heuristic(model, lp_point, net)
     logits, _ = forward(net, center)
     assert obj == pytest.approx(logits[h] - logits[k], abs=1e-9)
-    assert check_feasible(model.to_lp(), point, 1e-7)
+    assert check_feasible(model, point, 1e-7)
 
 
 def test_heuristic_never_exceeds_optimum():
@@ -127,7 +144,7 @@ def test_heuristic_matches_lp_at_integral_node():
     net = random_net(9, input_dim=3, classes=3)
     x = np.full(3, 0.4)
     model = encode_adversarial(net, x, 0.0, 0, 1, clamp=False)
-    sol = solve_lp(model.to_lp())
+    sol = solve_lp(model)
     assert sol.status == "optimal"
     point, obj = primal_heuristic(model, sol.primal, net)
     assert obj == pytest.approx(sol.objective, abs=1e-7)
@@ -152,7 +169,7 @@ def test_incumbent_decodes_to_its_objective():
         x_adv = report.incumbent_point[model.input_vars]
         logits, _ = forward(net, x_adv)
         assert logits[h] - logits[k] == pytest.approx(report.incumbent_obj, abs=1e-6)
-        assert check_feasible(model.to_lp(), report.incumbent_point, 1e-7)
+        assert check_feasible(model, report.incumbent_point, 1e-7)
 
 
 def test_brute_force_trivial_cases():

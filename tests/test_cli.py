@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prunemip.bnb import SolveReport
-from prunemip.cli import BENCH_HEADER, main
+from prunemip.cli import BENCH_HEADER, EXIT_USAGE, main
 from prunemip.nn import Mlp, load_model, save_model
 
 
@@ -38,9 +38,29 @@ def test_train_writes_model_log_manifest(trained_model):
     assert "version" in manifest and "argv" in manifest
 
 
-def test_train_bad_arch_exits():
-    with pytest.raises(SystemExit):
-        run_cli("train", "--arch", "0x10", "--out", "/tmp/nope.json")
+def test_train_bad_arch_exits(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--arch", "0x10", "--out", str(tmp_path / "nope.json"))
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags", [
+    ["--delta", "-1"],
+    ["--delta", "nan"],
+    ["--time-limit", "0"],
+    None,  # no --model: argparse's own usage error
+])
+def test_verify_bad_argument_exits_usage(flags, trained_model, capsys):
+    argv = ["verify", "--index", "0"]
+    if flags is not None:
+        argv += ["--model", str(trained_model), *flags]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("prunemip")
+    assert ": error: " in err.splitlines()[-1]
 
 
 def test_train_determinism_bit_identical(tmp_path):
@@ -102,6 +122,9 @@ def test_verify_misclassified_exit(tmp_path, trained_model):
     code = run_cli("verify", "--model", str(trained_model), "--input", str(x_path),
                    "--label", str(wrong), "--delta", "0.1")
     assert code == 3
+    code = run_cli("export-lp", "--model", str(trained_model), "--input", str(x_path),
+                   "--label", str(wrong), "--delta", "0.1", "--out", str(tmp_path / "x.lp"))
+    assert code == 3
 
 
 def test_prune_command(tmp_path):
@@ -143,9 +166,10 @@ def test_gen_data(tmp_path):
 
 
 def test_gen_data_rejects_unknown_field(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli("gen-data", "--out", str(tmp_path / "x.npz"),
                 "--synthetic", "bogus=3")
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_bench_desk_scale(tmp_path):

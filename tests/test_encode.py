@@ -1,6 +1,7 @@
 """Encoder tests: interval bounds, counting, trace soundness, LP export."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,11 +106,10 @@ def test_trace_soundness():
         net = random_net(400 + seed)
         box = unit_box(net.input_dim)
         model = encode_network(net, box, interval_bounds(net, box))
-        lp = model.to_lp()
         for _ in range(200):
             x = rng.uniform(0, 1, net.input_dim)
             point = assemble_trace(model, net, x)
-            assert check_feasible(lp, point, 1e-7)
+            assert check_feasible(model, point, 1e-7)
 
 
 def test_point_box_reproduces_forward():
@@ -129,8 +129,9 @@ def test_point_box_reproduces_forward():
                     v = 1.0 if preacts[li][j] > 0 else 0.0
                     lo[nv.z] = hi[nv.z] = v
         for h in range(net.output_dim):
-            model.objective = {model.output_vars[h]: 1.0}
-            sol = solve_lp(model.to_lp(lower=lo, upper=hi))
+            c = np.zeros(model.num_vars)
+            c[model.output_vars[h]] = 1.0
+            sol = solve_lp(replace(model, objective=c, lower=lo, upper=hi))
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(logits[h], abs=1e-7)
 
@@ -140,7 +141,7 @@ def test_adversarial_delta_zero_margin():
     x = np.random.default_rng(6).uniform(0.2, 0.8, 4)
     logits, _ = forward(net, x)
     model = encode_adversarial(net, x, 0.0, 0, 1, clamp=False)
-    sol = solve_lp(model.to_lp())
+    sol = solve_lp(model)
     assert sol.objective == pytest.approx(logits[1] - logits[0], abs=1e-7)
 
 
@@ -206,10 +207,9 @@ def test_bounds_table_validation_and_csv():
 def test_write_lp_minimal_model():
     from prunemip.encode import MipModel
 
-    model = MipModel(names=["a"], lower=np.array([0.0]), upper=np.array([2.0]),
-                     is_binary=np.array([False]), constraints=[],
-                     objective_sense="maximize", objective={0: 1.0},
-                     var_index={"a": 0})
+    model = MipModel(num_vars=1, objective_sense="maximize", objective=np.array([1.0]),
+                     lower=np.array([0.0]), upper=np.array([2.0]), constraints=[],
+                     names=["a"], is_binary=np.array([False]))
     text = write_lp(model)
     assert text.startswith("Maximize\n obj: 1.0 a\nSubject To\nBounds\n")
     assert " 0.0 <= a <= 2.0" in text
@@ -230,7 +230,7 @@ def test_lp_round_trip_byte_identical():
         net = random_net(600 + seed)
         box = unit_box(net.input_dim)
         model = encode_network(net, box, interval_bounds(net, box))
-        model.objective = {model.output_vars[0]: 1.0}
+        model.objective[model.output_vars[0]] = 1.0
         text = write_lp(model)
         reparsed = parse_lp(text)
         assert write_lp(reparsed) == text

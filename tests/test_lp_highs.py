@@ -120,7 +120,7 @@ def test_adversarial_relaxations_match_highs(delta, bounds_mode):
     logits, _ = forward(net, x)
     k = int(np.argmax(logits))
     model = encode_adversarial(net, x, delta, k, runner_up(logits, k), bounds_mode=bounds_mode)
-    assert assert_matches_highs(model.to_lp()) == "optimal"
+    assert assert_matches_highs(model) == "optimal"
 
 
 def test_bound_flips_count_toward_iteration_limit(monkeypatch):
