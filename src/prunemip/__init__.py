@@ -24,7 +24,6 @@ from .nn import (
     TrainConfig,
     accuracy,
     forward,
-    forward_batch,
     grad_cross_entropy,
     init_mlp,
     load_model,

@@ -6,8 +6,9 @@ with the node's bounds. Branching fixes the model's binaries
 (most-fractional first). Fixing a ReLU indicator z also tightens the
 child's variable bounds (z=1 pins vm to 0, z=0 pins vp to 0) instead of
 adding rows, so LP size stays constant down the tree. A network-forward
-primal heuristic runs at every feasible node. A node is pruned once its bound exceeds the
-incumbent by no more than ABS_GAP; the time limit is the only setting.
+primal heuristic runs at every feasible node of a model that carries its
+network. A node is pruned once its bound exceeds the incumbent by no more
+than ABS_GAP; the time limit is the only setting.
 Single-threaded, deterministic node accounting.
 """
 
@@ -45,15 +46,15 @@ class SolveReport:
     incumbent_point: np.ndarray = None
 
 
-def solve(model, cfg, mlp=None, trace_log=None, started=None):
+def solve(model, cfg, trace_log=None, started=None):
     """Maximize the model objective exactly (within ABS_GAP) or until timeout.
 
     Only maximize models are accepted (every encode_adversarial model is one).
-    mlp enables the forward-pass primal heuristic; trace_log, when given,
-    receives one "node_id depth bound incumbent" line per processed node.
-    started, a time.monotonic() reading, is when the time limit and
-    wall_seconds began to run (default: now), so a caller can count the
-    time it spent building the model.
+    A model that carries its network (model.mlp) gets the forward-pass
+    primal heuristic. trace_log, when given, receives one "node_id depth
+    bound incumbent" line per processed node. started, a time.monotonic()
+    reading, is when the time limit and wall_seconds began to run (default:
+    now), so a caller can count the time it spent building the model.
     """
     t0 = time.monotonic() if started is None else started
     if model.objective_sense != "maximize":
@@ -101,8 +102,8 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
         lp_obj = sol.objective
         if lp_obj <= inc_obj + ABS_GAP:
             continue
-        if mlp is not None and model.input_vars:
-            point, obj = primal_heuristic(model, sol.primal, mlp)
+        if model.mlp is not None:
+            point, obj = primal_heuristic(model, sol.primal)
             if obj > inc_obj:
                 incumbent, inc_obj = point, obj
         free = [j for j in z_cols if j not in fix]
@@ -137,13 +138,13 @@ def solve(model, cfg, mlp=None, trace_log=None, started=None):
                        wall, incumbent)
 
 
-def primal_heuristic(model, lp_point, mlp):
-    """Feasible assignment from the LP point's input block via a forward pass.
+def primal_heuristic(model, lp_point):
+    """Feasible assignment from the LP point's input block via model.mlp's forward pass.
 
     Returns (assignment, its objective value).
     """
     x = np.asarray(lp_point, dtype=float)[model.input_vars]
-    point = assemble_trace(model, mlp, x)
+    point = assemble_trace(model, x)
     return point, float(model.objective @ point)
 
 

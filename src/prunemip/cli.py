@@ -3,8 +3,10 @@
 import argparse
 import csv
 import json
+import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,7 @@ from .archs import format_arch, parse_arch
 from .bnb import SolverConfig
 from .data import gen_synthetic, load_mnist
 from .encode import encode_adversarial, export_lp
-from .nn import (TrainConfig, accuracy, forward, forward_batch, init_mlp, load_model,
-                 save_model, sgd_train)
+from .nn import TrainConfig, accuracy, forward, init_mlp, load_model, save_model, sgd_train
 from .prune import grid_log_csv, prune_pipeline
 from .spr import SprConfig
 from .verify import InvalidInstanceError, build_instance, cross_check, verify
@@ -171,20 +172,24 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    """Checks every flag before training; a failure inside a rep is recorded, not raised."""
     rows = []
     extras = {"cross_checks": [], "errors": []}
+    archs = [(arch, parse_arch(arch)) for arch in args.archs.split(",")]
     deltas = [float(v) for v in args.deltas.split(",")]
-    lambdas = [float(v) for v in args.grid_lambdas.split(",")]
-    alphas = [float(v) for v in args.grid_alphas.split(",")]
-    epochs = 10 if args.desk_scale else args.epochs
-    time_limit = 60.0 if args.desk_scale else args.time_limit
-    for arch in args.archs.split(","):
-        widths = parse_arch(arch)
+    if any(not delta >= 0 or (delta == math.inf and not args.mnist) for delta in deltas):
+        raise ValueError("each delta must be >= 0, and finite unless --mnist clamps the box")
+    grid = [SprConfig(float(lam), float(alpha), args.spr_m)
+            for lam in args.grid_lambdas.split(",") for alpha in args.grid_alphas.split(",")]
+    cfg = TrainConfig(10 if args.desk_scale else args.epochs, args.batch, args.lr, args.seed)
+    solver = SolverConfig(time_limit_seconds=60.0 if args.desk_scale else args.time_limit)
+    data = _load_data(args)
+    for arch, widths in archs:
         for rep in range(args.reps):
-            seed = args.seed + rep
+            rep_cfg = replace(cfg, seed=args.seed + rep)
             try:
-                rows.extend(_bench_one(args, arch, widths, seed, deltas, lambdas, alphas,
-                                       epochs, time_limit, extras))
+                rows.extend(_bench_one(args, data, arch, widths, rep_cfg, grid, deltas, solver,
+                                       extras))
             except Exception as exc:  # record and continue per spec
                 extras["errors"].append({"arch": arch, "rep": rep, "error": str(exc)})
     with open(args.out, "w", newline="") as f:
@@ -201,10 +206,7 @@ def cmd_bench(args):
     return 0
 
 
-def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_limit, extras):
-    data = _load_data(args)
-    cfg = TrainConfig(epochs, args.batch, args.lr, seed)
-    grid = [SprConfig(l, a, args.spr_m) for l in lambdas for a in alphas]
+def _bench_one(args, data, arch, widths, cfg, grid, deltas, solver, extras):
     pruned, report, log = prune_pipeline(widths, data, grid, cfg, tau=args.tau,
                                          fine_tune_epochs=args.fine_tune_epochs)
     baseline = report.baseline
@@ -222,11 +224,10 @@ def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_l
                                       units="raw-pixel" if args.mnist else "scaled",
                                       clamp=bool(args.mnist))
             except InvalidInstanceError:
-                extras["errors"].append({"arch": arch, "seed": seed, "delta": delta,
+                extras["errors"].append({"arch": arch, "seed": cfg.seed, "delta": delta,
                                          "error": "clean input misclassified"})
                 continue
-            verdict = verify(inst, SolverConfig(time_limit_seconds=time_limit),
-                             bounds_mode="obbt" if args.obbt else "interval")
+            verdict = verify(inst, solver, bounds_mode="obbt" if args.obbt else "interval")
             found = {"counterexample": "YES", "timeout": "NO", "robust": "-",
                      "unknown": "?"}[verdict.outcome]
             rows.append([arch, tag, f"{accuracy(net, data):.4f}",
@@ -234,7 +235,7 @@ def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_l
                          pruned_arch, found])
             if net is pruned and verdict.outcome == "counterexample":
                 extras["cross_checks"].append({
-                    "arch": arch, "seed": seed, "delta": delta,
+                    "arch": arch, "seed": cfg.seed, "delta": delta,
                     "transfers": cross_check(verdict.counterexample_input, baseline,
                                              data.inputs[idx]),
                 })
@@ -242,7 +243,7 @@ def _bench_one(args, arch, widths, seed, deltas, lambdas, alphas, epochs, time_l
 
 
 def _first_correct(mlp, data):
-    logits, _ = forward_batch(mlp, data.inputs)
+    logits, _ = forward(mlp, data.inputs)
     correct = np.flatnonzero(logits.argmax(axis=1) == data.labels)
     if correct.size == 0:
         raise RuntimeError("no correctly classified sample available")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lp import EQ, LE, Constraint, LinearProgram
-from .nn import forward
+from .nn import Mlp, forward
 
 STABLE_TOL = 0.0  # a neuron is stable only when its bound actually reaches 0
 
@@ -92,6 +92,7 @@ class MipModel(LinearProgram):
     names: list
     is_binary: np.ndarray
     # encoder metadata consumed by the solver and the primal heuristic
+    mlp: Mlp = None  # the network encoded; None for a model read from LP text
     input_vars: list = field(default_factory=list)
     output_vars: list = field(default_factory=list)
     neurons: list = field(default_factory=list)  # list per layer of list[NeuronVars]
@@ -213,29 +214,25 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
         y = bld.add_var(f"y_{j}", -math.inf, math.inf)
         bld.add_affine({y: 1.0}, prev, W[j], b[j])
         outputs.append(y)
-    return bld.finish(input_vars=inputs, output_vars=outputs, neurons=neurons)
+    return bld.finish(mlp=mlp, input_vars=inputs, output_vars=outputs, neurons=neurons)
 
 
-def obbt_tighten(mlp, box, seed_bounds, deadline=None):
-    """Tighten each neuron's pre-activation bounds with two LPs per neuron.
+def obbt_tighten(mlp, box, deadline=None):
+    """Tighten the interval bounds of each neuron with two LPs per neuron.
 
     Over a box the LP bounds of the first hidden layer are its interval
-    bounds, so layer 0 takes those and runs no LP. Later layers are
+    bounds, so layer 0 keeps those and runs no LP. Later layers are
     processed in ascending order so every LP sees final bounds for all
-    predecessor layers; results are intersected with the seed bounds.
+    predecessor layers; results are intersected with the interval bounds.
     Once time.monotonic() passes deadline (if given), the table is returned
-    as it stands between neurons: untightened entries keep their seed bounds,
-    so every entry is still valid, and only layers tightened in full are
-    marked "obbt".
+    as it stands between neurons: untightened entries keep their interval
+    bounds, so every entry is still valid, and only layers tightened in full
+    are marked "obbt".
     """
     from .lp import solve_lp
 
-    los = [lo.copy() for lo in seed_bounds.lo]
-    his = [hi.copy() for hi in seed_bounds.hi]
-    table = BoundsTable(los, his, list(seed_bounds.provenance))
-    first = interval_bounds(mlp, box)
-    los[0] = np.maximum(los[0], first.lo[0])
-    his[0] = np.minimum(his[0], first.hi[0])
+    table = interval_bounds(mlp, box)
+    los, his = table.lo, table.hi
     table.provenance[0] = "obbt"
     for li in range(1, len(mlp.layers) - 1):
         W, b = mlp.layers[li]
@@ -269,9 +266,11 @@ def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True,
                        deadline=None):
     """Adversarial model: maximize y_h - y_k over the delta-box around x.
 
-    clamp intersects the box with [0, 1] (pixel domain); bounds_mode is
-    "interval" or "obbt"; deadline (a time.monotonic() value) stops OBBT
-    early with the bounds tightened so far.
+    It encodes the margin network, whose output layer is row h minus row k
+    of the net's, and maximizes its one output column, `margin`. clamp
+    intersects the box with [0, 1] (pixel domain); bounds_mode is "interval"
+    or "obbt"; deadline (a time.monotonic() value) stops OBBT early with the
+    bounds tightened so far.
     """
     x = np.asarray(x, dtype=float)
     if delta < 0:
@@ -282,23 +281,25 @@ def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True,
     if clamp:
         lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
     box = InputBox(lo, hi)
-    bounds = interval_bounds(mlp, box)
-    if bounds_mode == "obbt":
-        bounds = obbt_tighten(mlp, box, bounds, deadline)
-    elif bounds_mode != "interval":
+    if bounds_mode not in ("interval", "obbt"):
         raise ValueError(f"unknown bounds mode {bounds_mode!r}")
-    model = encode_network(mlp, box, bounds)
-    model.objective[model.output_vars[h]] = 1.0
-    model.objective[model.output_vars[k]] = -1.0
+    bounds = (obbt_tighten(mlp, box, deadline) if bounds_mode == "obbt"
+              else interval_bounds(mlp, box))
+    W, b = mlp.layers[-1]
+    margin_net = Mlp(mlp.layers[:-1] + [((W[h] - W[k])[None, :], np.array([b[h] - b[k]]))])
+    model = encode_network(margin_net, box, bounds)
+    (out,) = model.output_vars
+    model.names[out] = "margin"
+    model.objective[out] = 1.0
     return model
 
 
-def assemble_trace(model, mlp, x):
-    """Full feasible assignment induced by input x (clipped to the box)."""
+def assemble_trace(model, x):
+    """Full feasible assignment that model.mlp induces from input x (clipped to the box)."""
     lo = model.lower[model.input_vars]
     hi = model.upper[model.input_vars]
     x = np.clip(np.asarray(x, dtype=float), lo, hi)
-    logits, preacts = forward(mlp, x)
+    logits, preacts = forward(model.mlp, x)
     point = np.zeros(model.num_vars)
     point[model.input_vars] = x
     for li, layer in enumerate(model.neurons):

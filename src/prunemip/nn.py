@@ -100,26 +100,13 @@ def init_mlp(input_dim, hidden_widths, num_classes, seed):
     return Mlp(layers)
 
 
-def forward(mlp, x):
-    """Returns (logits, per-layer pre-activations) for a single input."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (mlp.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({mlp.input_dim},)")
-    preacts = []
-    a = x
-    last = len(mlp.layers) - 1
-    for i, (W, b) in enumerate(mlp.layers):
-        z = W @ a + b
-        preacts.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-    return a, preacts
-
-
-def forward_batch(mlp, X):
-    """Batched logits plus all pre-activations (each (N, m))."""
+def forward(mlp, X):
+    """Logits and per-layer pre-activations of one input (d,) or of a batch
+    (N, d), shaped (m,) or (N, m) to match."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != mlp.input_dim:
-        raise ValueError(f"batch has shape {X.shape}, expected (N, {mlp.input_dim})")
+    if X.ndim not in (1, 2) or X.shape[-1] != mlp.input_dim:
+        raise ValueError(f"input has shape {X.shape}, expected ({mlp.input_dim},) "
+                         f"or (N, {mlp.input_dim})")
     preacts = []
     A = X
     last = len(mlp.layers) - 1
@@ -137,7 +124,10 @@ def _softmax(Z):
 
 
 def cross_entropy_loss(mlp, X, y):
-    logits, _ = forward_batch(mlp, X)
+    return _mean_log_loss(forward(mlp, X)[0], y)
+
+
+def _mean_log_loss(logits, y):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(-logp[np.arange(len(y)), y].mean())
@@ -152,7 +142,7 @@ def grad_cross_entropy(mlp, X, y):
     y = np.asarray(y)
     if len(X) == 0:
         raise ValueError("empty batch")
-    logits, preacts = forward_batch(mlp, X)
+    logits, preacts = forward(mlp, X)
     acts = [X] + [np.maximum(Z, 0.0) for Z in preacts[:-1]]
     delta = _softmax(logits)
     delta[np.arange(len(y)), y] -= 1.0
@@ -170,7 +160,7 @@ def accuracy(mlp, data):
     """Fraction of correct argmax predictions; argmax ties go to the smallest index."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    logits, _ = forward_batch(mlp, data.inputs)
+    logits, _ = forward(mlp, data.inputs)
     return float((logits.argmax(axis=1) == data.labels).mean())
 
 
@@ -178,7 +168,8 @@ def sgd_train(mlp, data, cfg):
     """Plain SGD on shuffled mini-batches; optional SPR regularizer.
 
     Returns (trained Mlp, history), history being one dict per epoch with
-    the mean training loss and the accuracy on the training data.
+    the cross-entropy loss and the accuracy of the net on the whole training
+    data at the end of that epoch, from one forward pass.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
@@ -189,7 +180,6 @@ def sgd_train(mlp, data, cfg):
     n = len(data)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             X, y = data.inputs[idx], data.labels[idx]
@@ -200,8 +190,9 @@ def sgd_train(mlp, data, cfg):
                 b -= lr * db
             if reg is not None and reg.lam > 0:
                 _apply_spr_step(net, reg, lr)
-            losses.append(cross_entropy_loss(net, X, y))
-        entry = {"epoch": epoch, "loss": float(np.mean(losses)), "accuracy": accuracy(net, data)}
+        logits, _ = forward(net, data.inputs)
+        entry = {"epoch": epoch, "loss": _mean_log_loss(logits, data.labels),
+                 "accuracy": float((logits.argmax(axis=1) == data.labels).mean())}
         if reg is not None:
             entry["spr_penalty"] = spr_penalty(net, reg)
         history.append(entry)

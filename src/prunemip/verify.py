@@ -97,7 +97,7 @@ def verify(inst, cfg=None, bounds_mode="obbt"):
         bounds_mode=bounds_mode, clamp=inst.clamp,
         deadline=started + cfg.time_limit_seconds,
     )
-    report = solve(model, cfg, mlp=inst.mlp, started=started)
+    report = solve(model, cfg, started=started)
     cex = None
     if report.incumbent_point is not None and report.incumbent_obj is not None:
         x_adv = report.incumbent_point[model.input_vars]

@@ -82,7 +82,7 @@ def test_criterion_01_encoder_exactness_vs_brute_force():
     for net, box, x, delta, k, h in _c1_instances(100):
         truth = brute_force_verify(net, box, k, h)
         model = encode_adversarial(net, x, delta, k, h, clamp=True)
-        rep = solve(model, SolverConfig(), mlp=net)
+        rep = solve(model, SolverConfig())
         assert rep.status == "optimal"
         worst = max(worst, abs(rep.incumbent_obj - truth))
         _C1_NODE_COUNTS.append(rep.nodes)
@@ -101,7 +101,7 @@ def test_criterion_02_encoder_soundness_sampled_traces():
         model = encode_network(net, box, interval_bounds(net, box))
         X = rng.uniform(0, 1, size=(10_000, net.input_dim))
         for x in X:
-            assert check_feasible(model, assemble_trace(model, net, x), 1e-7)
+            assert check_feasible(model, assemble_trace(model, x), 1e-7)
             checked += 1
     _report(2, checked == 200_000,
             f"{checked} sampled traces MIP-feasible at 1e-7 over 20 instances")
@@ -225,7 +225,7 @@ def test_criterion_06_obbt_validity():
         net = random_net(60_000 + seed, hidden=[5, 4])
         box = InputBox(np.zeros(net.input_dim), np.ones(net.input_dim))
         seed_b = interval_bounds(net, box)
-        tight = obbt_tighten(net, box, seed_b)
+        tight = obbt_tighten(net, box)
         X = rng.uniform(0, 1, size=(1000, net.input_dim))
         for li in range(len(tight.lo)):
             assert np.all(tight.lo[li] >= seed_b.lo[li] - 1e-9)
@@ -240,7 +240,7 @@ def test_criterion_06_obbt_validity():
         net = random_net(61_000 + seed)
         x = rng.uniform(0, 1, net.input_dim)
         box = InputBox(x, x.copy())
-        tight = obbt_tighten(net, box, interval_bounds(net, box))
+        tight = obbt_tighten(net, box)
         _, preacts = forward(net, x)
         for li in range(len(tight.lo)):
             assert np.allclose(tight.lo[li], preacts[li], atol=1e-7)
@@ -382,12 +382,12 @@ def test_criterion_10_determinism(tmp_path):
     second = []
     for net, box, x, delta, k, h in _c1_instances(100):
         model = encode_adversarial(net, x, delta, k, h, clamp=True)
-        second.append(solve(model, SolverConfig(), mlp=net).nodes)
+        second.append(solve(model, SolverConfig()).nodes)
     if first is not None:
         assert second == first
     else:  # criterion 1 did not run in this session; solve a third time
         third = [solve(encode_adversarial(net, x, delta, k, h, clamp=True),
-                       SolverConfig(), mlp=net).nodes
+                       SolverConfig()).nodes
                  for net, box, x, delta, k, h in _c1_instances(100)]
         assert second == third
     # trained model files are bit-identical across repeat runs

@@ -3,8 +3,9 @@
 bench/tracer.py wraps module attributes of prunemip from outside and
 bench/make_networks.py counts pivots through prunemip.lp._pivot. A rename or
 a moved import would not fail there: the wrapper would just never fire and
-a per-layer metric would read 0. This test runs one traced verify and checks
-the metrics against the verify's own counts.
+a per-layer metric would read 0, or a doubled call would double it. This
+test runs one traced verify and checks the metrics against the verify's own
+counts.
 """
 
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from prunemip.encode import InputBox, interval_bounds
 from prunemip.nn import forward
 from prunemip.verify import build_instance
 
@@ -42,6 +44,10 @@ def test_traced_verify_fills_the_layer_metrics():
     assert nodes > 1
     assert metrics["bnb.lp_solves"] == metrics["bnb.nodes_base"] == nodes
     assert metrics["encode.obbt_lps"] == 2 * sum(net.hidden_widths[1:])
+    bounds = interval_bounds(net, InputBox(np.clip(x - 0.3, 0, 1), np.clip(x + 0.3, 0, 1)))
+    unstable = sum(int(((lo < 0) & (hi > 0)).sum()) for lo, hi in zip(bounds.lo, bounds.hi))
+    assert unstable > 0
+    assert metrics["encode.unstable_interval"] == unstable
     assert metrics["lp.rows_mean"] > 0
 
 

@@ -33,14 +33,14 @@ def test_no_binaries_is_single_node():
     x = np.full(3, 0.5)
     model = encode_adversarial(net, x, 0.0, 0, 1, clamp=False)
     assert model.num_binaries == 0
-    report = solve(model, SolverConfig(), mlp=net)
+    report = solve(model, SolverConfig())
     assert report.status == "optimal"
     assert report.nodes == 1
     logits, _ = forward(net, x)
     assert report.incumbent_obj == pytest.approx(logits[1] - logits[0], abs=1e-7)
     model.objective_sense = "minimize"  # solve maximizes only
     with pytest.raises(ValueError):
-        solve(model, SolverConfig(), mlp=net)
+        solve(model, SolverConfig())
 
 
 def test_oracle_equivalence_sample():
@@ -57,7 +57,7 @@ def test_oracle_equivalence_sample():
         if unstable > 10:
             continue
         truth = brute_force_verify(net, box, k, h)
-        report = solve(model, SolverConfig(), mlp=net)
+        report = solve(model, SolverConfig())
         assert report.status == "optimal"
         assert report.incumbent_obj == pytest.approx(truth, abs=1e-5)
         matched += 1
@@ -71,7 +71,7 @@ def test_parsed_model_branches_on_its_binaries():
     for seed in range(12):
         net, box, k, h, model = _adversarial_instance(seed)
         truth = brute_force_verify(net, box, k, h)
-        direct = solve(model, SolverConfig(), mlp=net)
+        direct = solve(model, SolverConfig())
         parsed = solve(parse_lp(write_lp(model)), SolverConfig())
         assert parsed.status == direct.status == "optimal"
         assert parsed.incumbent_obj == pytest.approx(direct.incumbent_obj, abs=1e-5)
@@ -92,8 +92,8 @@ def test_infeasible_injected_bounds():
 def test_node_count_determinism():
     for seed in (5, 11, 17):
         net, _, _, _, model = _adversarial_instance(seed)
-        a = solve(model, SolverConfig(), mlp=net)
-        b = solve(model, SolverConfig(), mlp=net)
+        a = solve(model, SolverConfig())
+        b = solve(model, SolverConfig())
         assert a.nodes == b.nodes
         assert a.status == b.status
         assert a.incumbent_obj == b.incumbent_obj
@@ -101,7 +101,7 @@ def test_node_count_determinism():
 
 def test_timeout_statuses():
     net, _, _, _, model = _adversarial_instance(23)
-    report = solve(model, SolverConfig(time_limit_seconds=1e-9), mlp=net)
+    report = solve(model, SolverConfig(time_limit_seconds=1e-9))
     assert report.status in ("feasible-timeout", "no-incumbent-timeout")
     if report.status == "feasible-timeout":
         assert report.best_bound >= report.incumbent_obj - 1e-9
@@ -112,7 +112,7 @@ def test_heuristic_center_margin():
     center = 0.5 * (box.lower + box.upper)
     lp_point = np.zeros(model.num_vars)
     lp_point[model.input_vars] = center
-    point, obj = primal_heuristic(model, lp_point, net)
+    point, obj = primal_heuristic(model, lp_point)
     logits, _ = forward(net, center)
     assert obj == pytest.approx(logits[h] - logits[k], abs=1e-9)
     assert check_feasible(model, point, 1e-7)
@@ -133,7 +133,7 @@ def test_heuristic_never_exceeds_optimum():
         rng = np.random.default_rng(seed)
         lp_point = np.zeros(model.num_vars)
         lp_point[model.input_vars] = rng.uniform(box.lower, box.upper)
-        _, obj = primal_heuristic(model, lp_point, net)
+        _, obj = primal_heuristic(model, lp_point)
         assert obj <= truth + 1e-7
         count += 1
     assert count >= 25
@@ -146,14 +146,14 @@ def test_heuristic_matches_lp_at_integral_node():
     model = encode_adversarial(net, x, 0.0, 0, 1, clamp=False)
     sol = solve_lp(model)
     assert sol.status == "optimal"
-    point, obj = primal_heuristic(model, sol.primal, net)
+    point, obj = primal_heuristic(model, sol.primal)
     assert obj == pytest.approx(sol.objective, abs=1e-7)
 
 
 def test_bound_monotonicity_via_trace():
     net, _, _, _, model = _adversarial_instance(31)
     trace = []
-    report = solve(model, SolverConfig(), mlp=net, trace_log=trace)
+    report = solve(model, SolverConfig(), trace_log=trace)
     assert report.status == "optimal"
     assert len(trace) == report.nodes
     # parent LP bounds never increase down any processed chain; the global
@@ -164,7 +164,7 @@ def test_bound_monotonicity_via_trace():
 def test_incumbent_decodes_to_its_objective():
     for seed in range(20):
         net, _, k, h, model = _adversarial_instance(seed + 100)
-        report = solve(model, SolverConfig(), mlp=net)
+        report = solve(model, SolverConfig())
         assert report.status == "optimal"
         x_adv = report.incumbent_point[model.input_vars]
         logits, _ = forward(net, x_adv)

@@ -189,6 +189,21 @@ def test_bench_desk_scale(tmp_path):
     assert "cross_check_transfer" in summary and "errors" in summary
 
 
+@pytest.mark.parametrize("flags", [["--deltas", "-1"], ["--deltas", "1,nan"],
+                                   ["--deltas", "inf"], ["--grid-alphas", "1.5"]])
+def test_bench_bad_argument_exits_before_training(flags, monkeypatch, tmp_path):
+    def no_training(*args, **kwargs):
+        raise AssertionError("bench trained before rejecting its flags")
+
+    monkeypatch.setattr(sys.modules["prunemip.cli"], "prune_pipeline", no_training)
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--archs", "1x8", "--out", str(out), "--reps", "1",
+                "--desk-scale", *flags)
+    assert exc.value.code == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_bench_marks_unknown_outcomes(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules["prunemip.verify"], "solve", _unknown_report)
     out = tmp_path / "bench.csv"

@@ -108,7 +108,7 @@ def test_trace_soundness():
         model = encode_network(net, box, interval_bounds(net, box))
         for _ in range(200):
             x = rng.uniform(0, 1, net.input_dim)
-            point = assemble_trace(model, net, x)
+            point = assemble_trace(model, x)
             assert check_feasible(model, point, 1e-7)
 
 
@@ -143,6 +143,35 @@ def test_adversarial_delta_zero_margin():
     model = encode_adversarial(net, x, 0.0, 0, 1, clamp=False)
     sol = solve_lp(model)
     assert sol.objective == pytest.approx(logits[1] - logits[0], abs=1e-7)
+
+
+def test_adversarial_model_encodes_the_margin_network():
+    """One output column, `margin`, which is the whole objective; one row
+    beyond the hidden layers; and every box point's trace puts the logit
+    margin on it."""
+    rows_per_kind = {"split": 3, "active": 1, "inactive": 0}
+    rng = np.random.default_rng(11)
+    for seed in range(10):
+        net = random_net(1100 + seed, classes=4, scale=1.2)
+        x = rng.uniform(0.2, 0.8, net.input_dim)
+        k, h = 3, seed % 3
+        model = encode_adversarial(net, x, 0.3, k, h,
+                                   bounds_mode="obbt" if seed % 2 else "interval")
+        assert len(model.output_vars) == 1
+        out = model.output_vars[0]
+        assert model.names[out] == "margin"
+        unit = np.zeros(model.num_vars)
+        unit[out] = 1.0
+        assert np.array_equal(model.objective, unit)
+        hidden_rows = sum(rows_per_kind[nv.kind] for layer in model.neurons for nv in layer)
+        assert len(model.constraints) == hidden_rows + 1
+        lo, hi = model.lower[model.input_vars], model.upper[model.input_vars]
+        for _ in range(50):
+            point_x = rng.uniform(lo, hi)
+            point = assemble_trace(model, point_x)
+            assert check_feasible(model, point, 1e-7)
+            logits, _ = forward(net, point_x)
+            assert point[out] == pytest.approx(logits[h] - logits[k], abs=1e-12)
 
 
 def test_adversarial_invalid_classes():

@@ -11,7 +11,6 @@ from prunemip.nn import (
     accuracy,
     cross_entropy_loss,
     forward,
-    forward_batch,
     grad_cross_entropy,
     init_mlp,
     load_model,
@@ -70,7 +69,7 @@ def test_forward_dimension_mismatch():
 def test_forward_batch_consistent():
     net = random_net(2, input_dim=3, hidden=[5], classes=3)
     X = np.random.default_rng(0).normal(size=(6, 3))
-    logits, _ = forward_batch(net, X)
+    logits, _ = forward(net, X)
     for i in range(6):
         single, _ = forward(net, X[i])
         assert np.allclose(logits[i], single, atol=1e-12)

@@ -21,7 +21,7 @@ def test_single_layer_equals_interval():
     net = random_net(0, input_dim=3, hidden=[6], classes=2)
     box = unit_box(3)
     seed_table = interval_bounds(net, box)
-    tight = obbt_tighten(net, box, seed_table)
+    tight = obbt_tighten(net, box)
     assert np.allclose(tight.lo[0], seed_table.lo[0], atol=1e-7)
     assert np.allclose(tight.hi[0], seed_table.hi[0], atol=1e-7)
     assert tight.provenance == ["obbt"]
@@ -32,7 +32,7 @@ def test_obbt_inside_interval_bounds():
         net = random_net(700 + seed)
         box = unit_box(net.input_dim)
         seed_table = interval_bounds(net, box)
-        tight = obbt_tighten(net, box, seed_table)
+        tight = obbt_tighten(net, box)
         for li in range(len(seed_table.lo)):
             assert np.all(tight.lo[li] >= seed_table.lo[li] - 1e-9)
             assert np.all(tight.hi[li] <= seed_table.hi[li] + 1e-9)
@@ -41,7 +41,7 @@ def test_obbt_inside_interval_bounds():
 def test_obbt_contains_sampled_preactivations():
     net = random_net(42, input_dim=3, hidden=[6, 6], classes=2)
     box = unit_box(3)
-    tight = obbt_tighten(net, box, interval_bounds(net, box))
+    tight = obbt_tighten(net, box)
     rng = np.random.default_rng(0)
     for x in rng.uniform(0, 1, size=(10_000, 3)):
         _, preacts = forward(net, x)
@@ -56,7 +56,7 @@ def test_point_box_collapse_matches_forward():
         net = random_net(800 + seed)
         x = rng.uniform(0, 1, net.input_dim)
         box = InputBox(x, x.copy())
-        tight = obbt_tighten(net, box, interval_bounds(net, box))
+        tight = obbt_tighten(net, box)
         _, preacts = forward(net, x)
         for li in range(len(tight.lo)):
             assert np.allclose(tight.lo[li], preacts[li], atol=1e-7)
@@ -69,7 +69,7 @@ def test_strict_improvement_on_some_deep_net():
         net = random_net(900 + seed, input_dim=3, hidden=[5, 5], classes=2)
         box = unit_box(3)
         seed_table = interval_bounds(net, box)
-        tight = obbt_tighten(net, box, seed_table)
+        tight = obbt_tighten(net, box)
         width_seed = np.concatenate(seed_table.hi) - np.concatenate(seed_table.lo)
         width_tight = np.concatenate(tight.hi) - np.concatenate(tight.lo)
         if np.any(width_tight < width_seed - 1e-9):
@@ -80,14 +80,14 @@ def test_strict_improvement_on_some_deep_net():
 def test_deadline_returns_partly_tightened_valid_table(monkeypatch):
     """A clock that ticks once per neuron check passes the deadline after
     two neurons: layer 0 runs no LP and is done, layer 1 has two tightened
-    and three at their seed bounds."""
+    and three at their interval bounds."""
     net = random_net(42, input_dim=3, hidden=[5, 5], classes=2)
     box = unit_box(3)
     seed_table = interval_bounds(net, box)
-    full = obbt_tighten(net, box, seed_table)
+    full = obbt_tighten(net, box)
     ticks = itertools.count(1)
     monkeypatch.setattr("prunemip.encode.time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    part = obbt_tighten(net, box, seed_table, deadline=2)
+    part = obbt_tighten(net, box, deadline=2)
     assert part.provenance == ["obbt", "interval"]
     for table_a, table_b in ((part.lo, full.lo), (part.hi, full.hi)):
         assert np.array_equal(table_a[0], table_b[0])
