@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .archs import format_arch, parse_arch
-from .bnb import SolveReport, SolverConfig, brute_force_verify, primal_heuristic, solve
+from .bnb import SolveReport, SolverConfig, brute_force_verify, solve
 from .data import gen_synthetic, load_mnist
 from .encode import (
     BoundsTable,
@@ -27,11 +27,12 @@ from .nn import (
     grad_cross_entropy,
     init_mlp,
     load_model,
+    regularized_loss,
     save_model,
     sgd_train,
 )
 from .prune import PruneReport, fine_tune, prune_pipeline, threshold_prune
-from .spr import SprConfig, regularized_loss, spr_grad, spr_value
+from .spr import SprConfig, spr_grad, spr_value
 from .verify import (
     VerificationInstance,
     Verdict,

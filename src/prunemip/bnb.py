@@ -1,14 +1,17 @@
 """Branch-and-bound maximization over the encoder's models.
 
 A model is its own LP relaxation, solved by the bounded-variable simplex
-kernel, where a variable bound costs no tableau row; a node LP is the model
-with the node's bounds. Branching fixes the model's binaries
-(most-fractional first). Fixing a ReLU indicator z also tightens the
-child's variable bounds (z=1 pins vm to 0, z=0 pins vp to 0) instead of
-adding rows, so LP size stays constant down the tree. A network-forward
-primal heuristic runs at every feasible node of a model that carries its
-network. A node is pruned once its bound exceeds the incumbent by no more
-than ABS_GAP; the time limit is the only setting.
+kernel, where a variable bound costs no tableau row. An open node is one
+record of its bounds: (-parent LP bound, tie counter, depth, lower, upper)
+on a single heap, so the search is best-first over LP bounds from the root
+on. A node LP is the model with the node's bounds. Branching fixes the
+model's most fractional binary (ties to the smallest column) in a copy of
+the parent's bounds; fixing a ReLU indicator z also pins one split column
+(z=1 pins vm to 0, z=0 pins vp to 0) instead of adding rows, so LP size
+stays constant down the tree. At every feasible node of a model that
+carries its network, the forward pass from the LP point's inputs gives a
+primal candidate. A node is pruned once its bound exceeds the incumbent by
+no more than ABS_GAP; the time limit is the only setting.
 Single-threaded, deterministic node accounting.
 """
 
@@ -59,93 +62,57 @@ def solve(model, cfg, trace_log=None, started=None):
     t0 = time.monotonic() if started is None else started
     if model.objective_sense != "maximize":
         raise ValueError(f"solve maximizes; the model's sense is {model.objective_sense!r}")
-    z_cols = np.flatnonzero(model.is_binary).tolist()
-    # the encoder's neurons add bound pins; any other binary is pinned by its rows alone
-    z_info = {nv.z: nv for layer in model.neurons for nv in layer if nv.z is not None}
-    base_lo, base_hi = model.lower, model.upper
+    z_cols = np.flatnonzero(model.is_binary)
+    # the encoder's neurons pin a split column per branch value; any other
+    # binary is pinned by its rows alone
+    pins = {nv.z: (nv.vp, nv.vm) for layer in model.neurons for nv in layer if nv.z is not None}
 
     incumbent = None
     inc_obj = -math.inf
     nodes = 0
     counter = itertools.count()
-    # Nodes are (parent LP bound, fixings dict). Dive on a stack until the
-    # first incumbent, then switch to best-bound on a heap.
-    stack = [(math.inf, {})]
-    heap = []
-    timed_out = False
-
-    while stack or heap:
+    heap = [(-math.inf, next(counter), 0, model.lower, model.upper)]
+    while heap:
         if time.monotonic() - t0 > cfg.time_limit_seconds:
-            timed_out = True
             break
-        if stack:
-            bound_est, fix = stack.pop()
-        else:
-            neg_bound, _, fix = heapq.heappop(heap)
-            bound_est = -neg_bound
-        if bound_est <= inc_obj + ABS_GAP:
+        neg_bound, _, depth, lo, hi = heapq.heappop(heap)
+        if -neg_bound <= inc_obj + ABS_GAP:
             continue  # pruned by bound before solving
-        lo = base_lo.copy()
-        hi = base_hi.copy()
-        for zj, val in fix.items():
-            lo[zj] = hi[zj] = float(val)
-            nv = z_info.get(zj)
-            if nv is not None:
-                hi[nv.vm if val == 1 else nv.vp] = 0.0
         sol = solve_lp(replace(model, lower=lo, upper=hi))
         nodes += 1
-        node_id = nodes
         if trace_log is not None:
-            trace_log.append(f"{node_id} {len(fix)} {bound_est} {inc_obj}")
-        if sol.status != "optimal":
-            continue  # infeasible node (unbounded cannot occur: box-bounded inputs)
-        lp_obj = sol.objective
-        if lp_obj <= inc_obj + ABS_GAP:
-            continue
+            trace_log.append(f"{nodes} {depth} {-neg_bound} {inc_obj}")
+        if sol.status != "optimal" or sol.objective <= inc_obj + ABS_GAP:
+            continue  # infeasible (never unbounded: the inputs are boxed) or pruned
         if model.mlp is not None:
-            point, obj = primal_heuristic(model, sol.primal)
+            point = assemble_trace(model, sol.primal[model.input_vars])
+            obj = float(model.objective @ point)
             if obj > inc_obj:
                 incumbent, inc_obj = point, obj
-        free = [j for j in z_cols if j not in fix]
-        vals = sol.primal
-        frac = [j for j in free if INT_TOL < vals[j] < 1.0 - INT_TOL]
-        if not frac:
-            if lp_obj > inc_obj:
-                incumbent, inc_obj = sol.primal, lp_obj
+        vals = sol.primal[z_cols]
+        frac = (INT_TOL < vals) & (vals < 1.0 - INT_TOL)  # a fixed binary sits on its bound
+        if not frac.any():
+            if sol.objective > inc_obj:
+                incumbent, inc_obj = sol.primal, sol.objective
             continue
-        branch = min(frac, key=lambda j: (abs(vals[j] - 0.5), j))
-        children = [(lp_obj, {**fix, branch: 0}), (lp_obj, {**fix, branch: 1})]
-        if incumbent is None:
-            # keep diving toward the branch value suggested by the LP
-            first, second = (children if vals[branch] < 0.5 else children[::-1])
-            stack.append(second)
-            stack.append(first)
-        else:
-            for child in children:
-                heapq.heappush(heap, (-child[0], next(counter), child[1]))
-    # Flush the dive stack into the bound accounting on timeout.
-    open_bounds = [b for b, _ in stack] + [-nb for nb, _, _ in heap]
+        # most fractional first; argmin takes the first minimum, so ties go to the smallest column
+        branch = int(z_cols[np.argmin(np.where(frac, np.abs(vals - 0.5), np.inf))])
+        for val in (0, 1):
+            child_lo, child_hi = lo.copy(), hi.copy()
+            child_lo[branch] = child_hi[branch] = val
+            if branch in pins:
+                child_hi[pins[branch][val]] = 0.0
+            heapq.heappush(heap, (-sol.objective, next(counter), depth + 1, child_lo, child_hi))
     wall = time.monotonic() - t0
-    if timed_out:
-        best_bound = max([inc_obj] + open_bounds) if (incumbent is not None or open_bounds) else math.inf
+    if heap:  # the time limit stopped the search; heap[0] holds the best open bound
         status = "feasible-timeout" if incumbent is not None else "no-incumbent-timeout"
+        best_bound = max(inc_obj, -heap[0][0])
     elif incumbent is None:
         return SolveReport("infeasible", None, -math.inf, nodes, wall)
     else:
-        best_bound = inc_obj
-        status = "optimal"
+        status, best_bound = "optimal", inc_obj
     return SolveReport(status, inc_obj if incumbent is not None else None, best_bound, nodes,
                        wall, incumbent)
-
-
-def primal_heuristic(model, lp_point):
-    """Feasible assignment from the LP point's input block via model.mlp's forward pass.
-
-    Returns (assignment, its objective value).
-    """
-    x = np.asarray(lp_point, dtype=float)[model.input_vars]
-    point = assemble_trace(model, x)
-    return point, float(model.objective @ point)
 
 
 def brute_force_verify(mlp, box, k, h, max_unstable=20):

@@ -16,7 +16,7 @@ from .archs import format_arch, parse_arch
 from .bnb import SolverConfig
 from .data import gen_synthetic, load_mnist
 from .encode import encode_adversarial, export_lp
-from .nn import TrainConfig, accuracy, forward, init_mlp, load_model, save_model, sgd_train
+from .nn import TrainConfig, forward, init_mlp, load_model, save_model, sgd_train
 from .prune import grid_log_csv, prune_pipeline
 from .spr import SprConfig
 from .verify import InvalidInstanceError, build_instance, cross_check, verify
@@ -134,6 +134,8 @@ def _pick_instance(mlp, args):
         return x, label
     data = _load_data(args, split="test" if args.mnist else "train")
     idx = args.index
+    if not 0 <= idx < len(data):
+        raise ValueError(f"--index {idx} is outside the dataset's 0..{len(data) - 1}")
     return data.inputs[idx], int(data.labels[idx])
 
 
@@ -215,10 +217,14 @@ def _bench_one(args, data, arch, widths, cfg, grid, deltas, solver, extras):
          if r.get("kind") == "grid" and r.get("pruned_arch") == report.pruned_arch),
         "",
     )
+    # prune_pipeline measured both nets on this data
+    base_acc = next(r["accuracy"] for r in log if r["kind"] == "baseline")
+    sides = ((baseline, "", "", base_acc),
+             (pruned, grid_best, report.pruned_arch, report.post_accuracy))
+    idx = _first_correct(baseline, data)
     rows = []
     for delta in deltas:
-        idx = _first_correct(baseline, data)
-        for net, tag, pruned_arch in ((baseline, "", ""), (pruned, grid_best, report.pruned_arch)):
+        for net, tag, pruned_arch, acc in sides:
             try:
                 inst = build_instance(net, data.inputs[idx], int(data.labels[idx]), delta,
                                       units="raw-pixel" if args.mnist else "scaled",
@@ -230,7 +236,7 @@ def _bench_one(args, data, arch, widths, cfg, grid, deltas, solver, extras):
             verdict = verify(inst, solver, bounds_mode="obbt" if args.obbt else "interval")
             found = {"counterexample": "YES", "timeout": "NO", "robust": "-",
                      "unknown": "?"}[verdict.outcome]
-            rows.append([arch, tag, f"{accuracy(net, data):.4f}",
+            rows.append([arch, tag, f"{acc:.4f}",
                          f"{verdict.report.wall_seconds:.3f}", verdict.report.nodes,
                          pruned_arch, found])
             if net is pruned and verdict.outcome == "counterexample":
@@ -370,14 +376,15 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; a value the library rejects exits EXIT_USAGE."""
+    """Run one command; a value the library rejects, or a file that cannot
+    be read or written, exits EXIT_USAGE."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_MISCLASSIFIED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"prunemip: error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archs import format_arch
-from .spr import _case_a_slope, spr_penalty, spr_rows
+from .spr import spr_penalty, spr_step
 
 MODEL_FORMAT_VERSION = 1
 
@@ -23,6 +23,8 @@ class Mlp:
     layers: list
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
         for i, (W, b) in enumerate(self.layers):
             if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: inconsistent W/b shapes")
@@ -127,6 +129,15 @@ def cross_entropy_loss(mlp, X, y):
     return _mean_log_loss(forward(mlp, X)[0], y)
 
 
+def regularized_loss(mlp, X, y, cfg):
+    """Batch cross-entropy plus lam times the summed per-neuron SPR penalty.
+
+    The group for hidden neuron j of layer l is row j of W_l concatenated
+    with b_l[j]; output-layer neurons are excluded.
+    """
+    return cross_entropy_loss(mlp, X, y) + spr_penalty(mlp, cfg)
+
+
 def _mean_log_loss(logits, y):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -189,7 +200,7 @@ def sgd_train(mlp, data, cfg):
                 W -= lr * dW
                 b -= lr * db
             if reg is not None and reg.lam > 0:
-                _apply_spr_step(net, reg, lr)
+                spr_step(net, reg, lr)
         logits, _ = forward(net, data.inputs)
         entry = {"epoch": epoch, "loss": _mean_log_loss(logits, data.labels),
                  "accuracy": float((logits.argmax(axis=1) == data.labels).mean())}
@@ -197,31 +208,6 @@ def sgd_train(mlp, data, cfg):
             entry["spr_penalty"] = spr_penalty(net, reg)
         history.append(entry)
     return net, history
-
-
-def _apply_spr_step(net, reg, lr):
-    """One penalty step per hidden group after the cross-entropy step.
-
-    In case A the penalty is a scaled group norm, so its exact step is a
-    radial shrink that snaps the group to zero once the remaining norm is
-    smaller than the step; a raw subgradient step would instead oscillate
-    around zero at radius lr*lam and no group could ever be pruned. The
-    smooth cases B and C take the ordinary gradient step. Zero groups stay
-    as they are. Each layer is updated in place, all its groups at once.
-    """
-    step = lr * reg.lam
-    shrink = step * _case_a_slope(reg.alpha)
-    for W, b in net.layers[:-1]:  # output layer is never regularized
-        G = np.column_stack([W, b])
-        _, grads, case_a, l2 = spr_rows(G, reg.alpha, reg.m)
-        new = G - step * grads
-        new[case_a] = 0.0
-        keep = case_a & (l2 > shrink)
-        new[keep] = G[keep] * (1.0 - shrink / l2[keep])[:, None]
-        zero = l2 == 0.0
-        new[zero] = G[zero]
-        W[:] = new[:, :-1]
-        b[:] = new[:, -1]
 
 
 def save_model(mlp, path, training_meta=None):
@@ -247,13 +233,15 @@ def save_model(mlp, path, training_meta=None):
 
 
 def load_model(path):
+    """(Mlp, training_meta) from a save_model file; ValueError if a field is
+    missing or malformed."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
-    layers = []
-    for entry in doc["layers"]:
-        W = np.array(entry["weights"], dtype=float).reshape(entry["rows"], entry["cols"])
-        b = np.array(entry["bias"], dtype=float)
-        layers.append((W, b))
+    if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: not a model file of format_version {MODEL_FORMAT_VERSION}")
+    try:
+        layers = [(np.array(entry["weights"], dtype=float).reshape(entry["rows"], entry["cols"]),
+                   np.array(entry["bias"], dtype=float)) for entry in doc["layers"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None
     return Mlp(layers), doc.get("training_meta", {})

@@ -6,8 +6,10 @@ cross-entropy loss; driving it to zero drives the whole group to zero, which
 is what makes the neuron removable afterwards.
 
 spr_rows holds the one case analysis, over all groups of a layer at once;
-spr_value and spr_grad are its one-group views, and training, the summed
-penalty and regularized_loss all go through it.
+spr_value and spr_grad are its one-group views, and the training step
+spr_step and the summed penalty spr_penalty go through it. The module reads
+a network only through its `layers` list of (W, b) pairs, so it imports
+nothing from the package.
 """
 
 import math
@@ -109,12 +111,26 @@ def spr_penalty(mlp, cfg):
     return cfg.lam * total
 
 
-def regularized_loss(mlp, X, y, cfg):
-    """Batch cross-entropy plus lam times the summed per-neuron penalty.
+def spr_step(net, cfg, lr):
+    """One penalty step per hidden group after the cross-entropy step.
 
-    The group for hidden neuron j of layer l is row j of W_l concatenated
-    with b_l[j]; output-layer neurons are excluded.
+    In case A the penalty is a scaled group norm, so its exact step is a
+    radial shrink that snaps the group to zero once the remaining norm is
+    smaller than the step; a raw subgradient step would instead oscillate
+    around zero at radius lr*lam and no group could ever be pruned. The
+    smooth cases B and C take the ordinary gradient step. Zero groups stay
+    as they are. Each layer is updated in place, all its groups at once.
     """
-    from .nn import cross_entropy_loss
-
-    return cross_entropy_loss(mlp, X, y) + spr_penalty(mlp, cfg)
+    step = lr * cfg.lam
+    shrink = step * _case_a_slope(cfg.alpha)
+    for W, b in net.layers[:-1]:  # output layer is never regularized
+        G = np.column_stack([W, b])
+        _, grads, case_a, l2 = spr_rows(G, cfg.alpha, cfg.m)
+        new = G - step * grads
+        new[case_a] = 0.0
+        keep = case_a & (l2 > shrink)
+        new[keep] = G[keep] * (1.0 - shrink / l2[keep])[:, None]
+        zero = l2 == 0.0
+        new[zero] = G[zero]
+        W[:] = new[:, :-1]
+        b[:] = new[:, -1]

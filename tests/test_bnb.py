@@ -1,16 +1,19 @@
-"""Branch-and-bound tests: oracle equivalence, determinism, heuristic
-properties, bound monotonicity, timeout statuses."""
+"""Branch-and-bound tests: oracle equivalence (seeded and on generated edge
+cases), determinism, heuristic properties, bound monotonicity, timeout
+statuses."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prunemip.bnb import SolverConfig, brute_force_verify, primal_heuristic, solve
-from prunemip.encode import (InputBox, encode_adversarial, encode_network, interval_bounds,
-                             parse_lp, write_lp)
+from prunemip.bnb import ABS_GAP, SolverConfig, brute_force_verify, solve
+from prunemip.encode import (InputBox, assemble_trace, encode_adversarial, encode_network,
+                             interval_bounds, parse_lp, write_lp)
 from prunemip.lp import check_feasible, solve_lp
-from prunemip.nn import forward
+from prunemip.nn import Mlp, forward
 
 from conftest import random_net
 
@@ -110,9 +113,8 @@ def test_timeout_statuses():
 def test_heuristic_center_margin():
     net, box, k, h, model = _adversarial_instance(7)
     center = 0.5 * (box.lower + box.upper)
-    lp_point = np.zeros(model.num_vars)
-    lp_point[model.input_vars] = center
-    point, obj = primal_heuristic(model, lp_point)
+    point = assemble_trace(model, center)
+    obj = model.objective @ point
     logits, _ = forward(net, center)
     assert obj == pytest.approx(logits[h] - logits[k], abs=1e-9)
     assert check_feasible(model, point, 1e-7)
@@ -131,9 +133,7 @@ def test_heuristic_never_exceeds_optimum():
             continue
         truth = brute_force_verify(net, box, k, h)
         rng = np.random.default_rng(seed)
-        lp_point = np.zeros(model.num_vars)
-        lp_point[model.input_vars] = rng.uniform(box.lower, box.upper)
-        _, obj = primal_heuristic(model, lp_point)
+        obj = model.objective @ assemble_trace(model, rng.uniform(box.lower, box.upper))
         assert obj <= truth + 1e-7
         count += 1
     assert count >= 25
@@ -146,19 +146,24 @@ def test_heuristic_matches_lp_at_integral_node():
     model = encode_adversarial(net, x, 0.0, 0, 1, clamp=False)
     sol = solve_lp(model)
     assert sol.status == "optimal"
-    point, obj = primal_heuristic(model, sol.primal)
+    obj = model.objective @ assemble_trace(model, sol.primal[model.input_vars])
     assert obj == pytest.approx(sol.objective, abs=1e-7)
 
 
 def test_bound_monotonicity_via_trace():
-    net, _, _, _, model = _adversarial_instance(31)
-    trace = []
-    report = solve(model, SolverConfig(), trace_log=trace)
-    assert report.status == "optimal"
-    assert len(trace) == report.nodes
-    # parent LP bounds never increase down any processed chain; the global
-    # report bound is consistent with the incumbent
-    assert report.best_bound >= report.incumbent_obj - 1e-9
+    """Best-first search pops the open nodes in order of their parent LP
+    bound, so the traced bounds never increase, on the encoder's models and
+    on their copies read back from LP text (which carry no network)."""
+    for seed in range(12):
+        model = _adversarial_instance(seed)[-1]
+        for candidate in (model, parse_lp(write_lp(model))):
+            trace = []
+            report = solve(candidate, SolverConfig(), trace_log=trace)
+            assert report.status == "optimal"
+            assert len(trace) == report.nodes
+            bounds = [float(line.split()[2]) for line in trace]
+            assert all(b <= a + 1e-9 for a, b in zip(bounds, bounds[1:])), (seed, bounds)
+            assert report.best_bound >= report.incumbent_obj - 1e-9
 
 
 def test_incumbent_decodes_to_its_objective():
@@ -194,3 +199,50 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(float("nan"))
     assert SolverConfig(math.inf).time_limit_seconds == math.inf
+
+
+@st.composite
+def edge_case_instances(draw):
+    """A net of at most 3 inputs and 4 hidden neurons over a clamped box,
+    with a duplicated hidden neuron, a first-layer pre-activation that is
+    exactly 0 at the box's lower corner (and, its weights being >= 0, is
+    smallest there), and inputs on a face of [0, 1], each when drawn."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_in = draw(st.integers(1, 3))
+    hidden = draw(st.sampled_from([[1], [2], [3], [4], [2, 2], [1, 3], [3, 1]]))
+    classes = draw(st.integers(2, 3))
+    scale = draw(st.sampled_from([1e-4, 1.0, 30.0]))
+    delta = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(seed)
+    net = random_net(seed, n_in, hidden, classes, scale)
+    x = rng.uniform(0.0, 1.0, n_in)
+    faces = draw(st.lists(st.sampled_from([None, 0.0, 1.0]), min_size=n_in, max_size=n_in))
+    for i, face in enumerate(faces):
+        if face is not None:
+            x[i] = face
+    lower = np.clip(x - delta, 0.0, 1.0)  # encode_adversarial's clamped box
+    layers = [(W.copy(), b.copy()) for W, b in net.layers]
+    wide = [li for li, width in enumerate(hidden) if width >= 2]
+    if wide and draw(st.booleans()):
+        W, b = layers[draw(st.sampled_from(wide))]
+        W[1], b[1] = W[0], b[0]
+    if draw(st.booleans()):
+        W, b = layers[0]
+        W[-1] = np.abs(W[-1])
+        b[-1] = -(lower @ W.T)[-1]
+    k = draw(st.integers(0, classes - 1))
+    return Mlp(layers), x, delta, k, (k + 1) % classes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_case_instances())
+def test_solve_matches_oracle_on_edge_cases(instance):
+    net, x, delta, k, h = instance
+    model = encode_adversarial(net, x, delta, k, h, clamp=True)
+    box = InputBox(np.clip(x - delta, 0, 1), np.clip(x + delta, 0, 1))
+    truth = brute_force_verify(net, box, k, h)
+    report = solve(model, SolverConfig())
+    assert report.status == "optimal"
+    # relative error 1e-6; solve stops within the absolute ABS_GAP of the
+    # optimum, which is the floor, since a 1e-4-scale net's margins lie below it
+    assert report.incumbent_obj == pytest.approx(truth, rel=1e-6, abs=ABS_GAP)

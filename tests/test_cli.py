@@ -10,7 +10,7 @@ import pytest
 
 from prunemip.bnb import SolveReport
 from prunemip.cli import BENCH_HEADER, EXIT_USAGE, main
-from prunemip.nn import Mlp, load_model, save_model
+from prunemip.nn import Mlp, accuracy, load_model, save_model
 
 
 def run_cli(*argv):
@@ -48,12 +48,23 @@ def test_train_bad_arch_exits(tmp_path):
     ["--delta", "-1"],
     ["--delta", "nan"],
     ["--time-limit", "0"],
+    ["--index", "100000"],
+    ["--index", "-1"],
+    ["--input", "{tmp}/missing.json"],
+    ["--model", "{tmp}/missing.json"],  # the last --model wins
+    ["--model", "{tmp}/no_layers.json"],
+    ["--model", "{tmp}/layers_empty.json"],
+    ["--model", "{tmp}/no_rows.json"],
     None,  # no --model: argparse's own usage error
 ])
-def test_verify_bad_argument_exits_usage(flags, trained_model, capsys):
+def test_verify_bad_argument_exits_usage(flags, trained_model, capsys, tmp_path):
+    (tmp_path / "no_layers.json").write_text('{"format_version": 1}')
+    (tmp_path / "layers_empty.json").write_text('{"format_version": 1, "layers": []}')
+    (tmp_path / "no_rows.json").write_text(
+        '{"format_version": 1, "layers": [{"weights": [1.0], "bias": [0.0]}]}')
     argv = ["verify", "--index", "0"]
     if flags is not None:
-        argv += ["--model", str(trained_model), *flags]
+        argv += ["--model", str(trained_model), *(f.format(tmp=tmp_path) for f in flags)]
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == EXIT_USAGE
@@ -202,6 +213,36 @@ def test_bench_bad_argument_exits_before_training(flags, monkeypatch, tmp_path):
                 "--desk-scale", *flags)
     assert exc.value.code == EXIT_USAGE
     assert not out.exists()
+
+
+def test_bench_reuses_the_rep_invariant_work(monkeypatch, tmp_path):
+    """One clean input per rep, and the CSV accuracies that prune_pipeline
+    measured, whatever the number of deltas."""
+    cli = sys.modules["prunemip.cli"]
+    calls = {"first_correct": 0, "accuracy": 0}
+    first_correct = cli._first_correct
+
+    def counting_first_correct(*args):
+        calls["first_correct"] += 1
+        return first_correct(*args)
+
+    def counting_accuracy(*args):
+        calls["accuracy"] += 1
+        return accuracy(*args)
+
+    monkeypatch.setattr(cli, "_first_correct", counting_first_correct)
+    monkeypatch.setattr(cli, "accuracy", counting_accuracy, raising=False)
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--archs", "1x8", "--out", str(out),
+                   "--reps", "1", "--desk-scale", "--batch", "32",
+                   "--grid-lambdas", "0.5", "--grid-alphas", "0.5",
+                   "--deltas", "0.5,1.0,2.0", "--fine-tune-epochs", "3") == 0
+    assert calls == {"first_correct": 1, "accuracy": 0}
+    with open(out) as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == 6
+    summary = json.loads((tmp_path / "bench.csv.summary.json").read_text())
+    assert summary["errors"] == []
 
 
 def test_bench_marks_unknown_outcomes(monkeypatch, tmp_path):

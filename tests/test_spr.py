@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from prunemip import nn
-from prunemip.nn import TrainConfig, accuracy, init_mlp, sgd_train
+from prunemip.nn import TrainConfig, accuracy, init_mlp, regularized_loss, sgd_train
 from prunemip.prune import neuron_magnitudes
-from prunemip.spr import SprConfig, regularized_loss, spr_grad, spr_rows, spr_value
+from prunemip.spr import SprConfig, spr_grad, spr_rows, spr_value
 
 
 def _case(w, alpha, m):
@@ -320,7 +320,7 @@ def test_training_step_bit_identical_to_per_neuron_loop(separable_data, monkeypa
                           regularizer=SprConfig(0.5, alpha, 1.0))
         net, hist = sgd_train(init, separable_data, cfg)
         with monkeypatch.context() as patched:
-            patched.setattr(nn, "_apply_spr_step", _ref_apply_spr_step)
+            patched.setattr(nn, "spr_step", _ref_apply_spr_step)
             ref, ref_hist = sgd_train(init, separable_data, cfg)
         for (W, b), (RW, Rb) in zip(net.layers, ref.layers):
             assert _bits(W) == _bits(RW) and _bits(b) == _bits(Rb)
