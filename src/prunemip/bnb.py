@@ -2,16 +2,22 @@
 
 A model is its own LP relaxation, solved by the bounded-variable simplex
 kernel, where a variable bound costs no tableau row. An open node is one
-record of its bounds: (-parent LP bound, tie counter, depth, lower, upper)
-on a single heap, so the search is best-first over LP bounds from the root
-on. A node LP is the model with the node's bounds. Branching fixes the
-model's most fractional binary (ties to the smallest column) in a copy of
-the parent's bounds; fixing a ReLU indicator z also pins one split column
-(z=1 pins vm to 0, z=0 pins vp to 0) instead of adding rows, so LP size
-stays constant down the tree. At every feasible node of a model that
-carries its network, the forward pass from the LP point's inputs gives a
-primal candidate. A node is pruned once its bound exceeds the incumbent by
-no more than ABS_GAP; the time limit is the only setting.
+record of its bounds and its parent's LP solution: (-parent LP bound, tie
+counter, depth, lower, upper, parent solution) on a single heap, so the
+search is best-first over LP bounds from the root on. A node LP is the model
+with the node's bounds. The root is solved cold; every other node LP is
+re-optimised by the dual simplex from its parent's final basis, on the
+parent's tableau columns and its one read of the constraint dicts (lp
+module docstring), since a child differs from its parent only in bounds.
+Branching fixes the model's most fractional binary (ties to the smallest
+column) in a copy of the parent's bounds; fixing a ReLU indicator z also
+pins one split column (z=1 pins vm to 0, z=0 pins vp to 0) instead of adding
+rows, so LP size stays constant down the tree. At every feasible node of a
+model that carries its network, the forward pass from the LP point's inputs
+gives a primal candidate. A node is pruned once its bound exceeds the
+incumbent by no more than ABS_GAP; the time limit is the only setting. A
+node whose LP fails (LpError, the simplex iteration limit) is dropped and
+counted, and the search can then end `lp-failed` but never `optimal`.
 Single-threaded, deterministic node accounting.
 """
 
@@ -19,12 +25,12 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .encode import assemble_trace, interval_bounds
-from .lp import EQ, LE, Constraint, LinearProgram, solve_lp
+from .lp import EQ, LE, Constraint, LinearProgram, LpError, solve_lp
 
 INT_TOL = 1e-6
 ABS_GAP = 1e-6  # a node is pruned unless its bound beats the incumbent by more
@@ -41,12 +47,15 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | feasible-timeout | infeasible | no-incumbent-timeout
+    # optimal | feasible-timeout | infeasible | no-incumbent-timeout | lp-failed
+    status: str
     incumbent_obj: float
     best_bound: float
     nodes: int
     wall_seconds: float
     incumbent_point: np.ndarray = None
+    # lp_solves, pivots, bound_flips, warm_starts, cold_fallbacks, failed_lps
+    stats: dict = field(default_factory=dict)
 
 
 def solve(model, cfg, trace_log=None, started=None):
@@ -68,20 +77,32 @@ def solve(model, cfg, trace_log=None, started=None):
     pins = {nv.z: (nv.vp, nv.vm) for layer in model.neurons for nv in layer if nv.z is not None}
 
     incumbent = None
-    inc_obj = -math.inf
+    inc_obj = failed_bound = -math.inf
     nodes = 0
+    stats = dict.fromkeys(("lp_solves", "pivots", "bound_flips", "warm_starts",
+                           "cold_fallbacks", "failed_lps"), 0)
     counter = itertools.count()
-    heap = [(-math.inf, next(counter), 0, model.lower, model.upper)]
+    heap = [(-math.inf, next(counter), 0, model.lower, model.upper, None)]
     while heap:
         if time.monotonic() - t0 > cfg.time_limit_seconds:
             break
-        neg_bound, _, depth, lo, hi = heapq.heappop(heap)
+        neg_bound, _, depth, lo, hi, parent = heapq.heappop(heap)
         if -neg_bound <= inc_obj + ABS_GAP:
             continue  # pruned by bound before solving
-        sol = solve_lp(replace(model, lower=lo, upper=hi))
         nodes += 1
         if trace_log is not None:
             trace_log.append(f"{nodes} {depth} {-neg_bound} {inc_obj}")
+        stats["lp_solves"] += 1
+        try:
+            sol = solve_lp(replace(model, lower=lo, upper=hi), warm=parent)
+        except LpError:  # the subtree is unexplored: keep its bound
+            stats["failed_lps"] += 1
+            failed_bound = max(failed_bound, -neg_bound)
+            continue
+        stats["pivots"] += sol.pivots
+        stats["bound_flips"] += sol.bound_flips
+        if parent is not None:
+            stats["warm_starts" if sol.warm else "cold_fallbacks"] += 1
         if sol.status != "optimal" or sol.objective <= inc_obj + ABS_GAP:
             continue  # infeasible (never unbounded: the inputs are boxed) or pruned
         if model.mlp is not None:
@@ -102,17 +123,20 @@ def solve(model, cfg, trace_log=None, started=None):
             child_lo[branch] = child_hi[branch] = val
             if branch in pins:
                 child_hi[pins[branch][val]] = 0.0
-            heapq.heappush(heap, (-sol.objective, next(counter), depth + 1, child_lo, child_hi))
+            heapq.heappush(heap, (-sol.objective, next(counter), depth + 1, child_lo, child_hi,
+                                  sol))
     wall = time.monotonic() - t0
     if heap:  # the time limit stopped the search; heap[0] holds the best open bound
         status = "feasible-timeout" if incumbent is not None else "no-incumbent-timeout"
-        best_bound = max(inc_obj, -heap[0][0])
+        best_bound = max(inc_obj, failed_bound, -heap[0][0])
+    elif stats["failed_lps"]:
+        status, best_bound = "lp-failed", max(inc_obj, failed_bound)
     elif incumbent is None:
-        return SolveReport("infeasible", None, -math.inf, nodes, wall)
+        return SolveReport("infeasible", None, -math.inf, nodes, wall, stats=stats)
     else:
         status, best_bound = "optimal", inc_obj
     return SolveReport(status, inc_obj if incumbent is not None else None, best_bound, nodes,
-                       wall, incumbent)
+                       wall, incumbent, stats)
 
 
 def brute_force_verify(mlp, box, k, h, max_unstable=20):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import EQ, LE, Constraint, LinearProgram
+from .lp import EQ, LE, Constraint, LinearProgram, LpError
 from .nn import Mlp, forward
 
 STABLE_TOL = 0.0  # a neuron is stable only when its bound actually reaches 0
@@ -227,7 +227,9 @@ def obbt_tighten(mlp, box, deadline=None):
     Once time.monotonic() passes deadline (if given), the table is returned
     as it stands between neurons: untightened entries keep their interval
     bounds, so every entry is still valid, and only layers tightened in full
-    are marked "obbt".
+    are marked "obbt". An LP that raises LpError (the simplex iteration
+    limit) leaves its side of that neuron at the interval bound, which is
+    still valid, and its layer unmarked.
     """
     from .lp import solve_lp
 
@@ -239,13 +241,18 @@ def obbt_tighten(mlp, box, deadline=None):
         # the encoder's own rows for layers < li; LPs ignore integrality
         bld, _, _, prev = _encode_hidden(mlp.layers[:li], box, table)
         prefix = bld.finish()
+        tightened = True
         for j in range(W.shape[0]):
             if deadline is not None and time.monotonic() > deadline:
                 return table
             c = np.zeros(prefix.num_vars)
             c[prev] = W[j]
             for sense, pick in (("maximize", "hi"), ("minimize", "lo")):
-                sol = solve_lp(replace(prefix, objective_sense=sense, objective=c))
+                try:
+                    sol = solve_lp(replace(prefix, objective_sense=sense, objective=c))
+                except LpError:
+                    tightened = False
+                    continue
                 if sol.status != "optimal":
                     raise RuntimeError(
                         f"OBBT relaxation {sol.status} at layer {li} neuron {j}"
@@ -258,7 +265,8 @@ def obbt_tighten(mlp, box, deadline=None):
             if los[li][j] > his[li][j]:  # numerical crossover at a fixed point
                 mid = 0.5 * (los[li][j] + his[li][j])
                 los[li][j] = his[li][j] = mid
-        table.provenance[li] = "obbt"
+        if tightened:
+            table.provenance[li] = "obbt"
     return table
 
 

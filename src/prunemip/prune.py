@@ -92,6 +92,10 @@ def prune_pipeline(
     Selects the candidate with the fewest remaining hidden neurons subject to
     accuracy >= baseline accuracy - acc_floor. If no candidate meets the
     floor, the highest-accuracy candidate is returned flagged "floor unmet".
+    A selection that meets the floor is flagged "ok", or "nothing pruned"
+    when it removed no neuron. Any selection is flagged "baseline diverged"
+    when the baseline's accuracy is at or below chance (1/C for C classes),
+    since the floor then means nothing.
 
     Returns (selected Mlp, PruneReport, log), log being one dict per grid
     point plus a "baseline" entry; the report's baseline is the plain-SGD
@@ -128,10 +132,12 @@ def prune_pipeline(
     eligible = [c for c in candidates if c[1] >= base_acc - acc_floor]
     if eligible:
         remaining, acc, net, report = min(eligible, key=lambda c: (c[0], -c[1]))
-        flag = "ok"
+        flag = "ok" if report.neurons_removed else "nothing pruned"
     else:
         remaining, acc, net, report = max(candidates, key=lambda c: c[1])
         flag = "floor unmet"
+    if base_acc <= 1.0 / data.num_classes:
+        flag = "baseline diverged"
     log.append({"kind": "selected", "pruned_arch": report.pruned_arch, "accuracy": acc,
                 "baseline_accuracy": base_acc, "flag": flag})
     report.baseline = baseline

@@ -5,7 +5,8 @@ classified point makes the runner-up class h outscore the true class k.
 Robust means the solver certified max(y_h - y_k) <= 0; a counterexample is
 any box point whose forward margin is positive (validated independently of
 the solver). A solve that ends without either (a positive optimum whose point
-the forward pass rejects, or an infeasible model) is unknown.
+the forward pass rejects, an infeasible model, or a search that dropped a
+node whose LP failed) is unknown.
 """
 
 import json
@@ -49,6 +50,7 @@ class Verdict:
             "wall_seconds": self.report.wall_seconds,
             "status": self.report.status,
             "best_bound": self.report.best_bound,
+            "stats": self.report.stats,
             "counterexample": (
                 None if self.counterexample_input is None else self.counterexample_input.tolist()
             ),
@@ -107,7 +109,7 @@ def verify(inst, cfg=None, bounds_mode="obbt"):
         return Verdict("counterexample", margin_of(inst.mlp, cex, inst.k, inst.h), cex, report)
     if report.status == "optimal" and report.incumbent_obj <= 0:
         return Verdict("robust", report.incumbent_obj, None, report)
-    if report.status in ("optimal", "infeasible"):
+    if report.status in ("optimal", "infeasible", "lp-failed"):
         return Verdict("unknown", report.incumbent_obj, None, report)
     return Verdict("timeout", report.incumbent_obj, None, report)
 

@@ -83,6 +83,21 @@ def test_parsed_model_branches_on_its_binaries():
     assert branched >= 4
 
 
+def test_children_warm_start_from_their_parent():
+    """Every node LP but the root re-optimises from its parent's basis. A
+    silent fallback to the cold solve would pass every other test."""
+    branched = 0
+    for seed in range(12):
+        *_, model = _adversarial_instance(seed)
+        report = solve(model, SolverConfig())
+        assert report.status == "optimal"
+        assert report.stats["lp_solves"] == report.nodes
+        assert report.stats["warm_starts"] == report.nodes - 1
+        assert report.stats["cold_fallbacks"] == 0
+        branched += report.nodes > 1
+    assert branched >= 4
+
+
 def test_infeasible_injected_bounds():
     net, box, k, h, model = _adversarial_instance(3)
     model.lower[model.output_vars[0]] = 1.0

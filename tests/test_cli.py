@@ -122,6 +122,17 @@ def test_verify_unknown_exit(monkeypatch, trained_model):
                    "--delta", "0.3", "--index", "0") == 4
 
 
+def test_verify_lp_iteration_limit_exits_unknown(monkeypatch, trained_model, capsys):
+    """The simplex iteration limit is a failed node, not a bad argument."""
+    monkeypatch.setattr(sys.modules["prunemip.lp"], "_MAX_ITER", 3)
+    assert run_cli("verify", "--model", str(trained_model),
+                   "--delta", "0.3", "--index", "0") == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outcome"] == "unknown"
+    assert doc["status"] == "lp-failed"
+    assert doc["stats"]["failed_lps"] >= 1
+
+
 def test_verify_misclassified_exit(tmp_path, trained_model):
     net, _ = load_model(trained_model)
     x_path = tmp_path / "x.json"

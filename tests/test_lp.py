@@ -206,3 +206,28 @@ def test_degenerate_fixed_variable():
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(7.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_warm_start_without_constraint_rows():
+    """An LP with no rows ends with an empty basis, and its child still
+    re-optimises from it."""
+    parent = lp(2, "maximize", [1, -1], [0, 0], [1, 1], [])
+    state = solve_lp(parent)
+    assert state.objective == 1.0 and state.basis.size == 0
+    child = lp(2, "maximize", [1, -1], [0, 0], [0.5, 1], [])
+    sol = solve_lp(child, warm=state)
+    assert sol.warm
+    assert sol.status == "optimal"
+    assert sol.objective == 0.5
+
+
+def test_no_warm_start_after_a_dropped_row():
+    """x + y = 1 makes 2x + 2y + f = 2 redundant while f is fixed at 0, so
+    phase 1 drops a row and leaves no basis to warm-start from. With f fixed
+    at 1 the rows contradict each other, which only all the rows show."""
+    cons = [Constraint({0: 1.0, 1: 1.0}, EQ, 1.0),
+            Constraint({0: 2.0, 1: 2.0, 2: 1.0}, EQ, 2.0)]
+    state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], cons))
+    assert state.status == "optimal" and state.basis is None
+    sol = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons), warm=state)
+    assert sol.status == "infeasible" and not sol.warm

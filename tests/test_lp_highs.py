@@ -1,14 +1,18 @@
 """solve_lp against HiGHS (scipy.optimize.linprog) on random LPs that mix every
-bound kind and relation, and on the encoder's adversarial LP relaxations."""
+bound kind and relation, on their children solved warm from the parent's
+basis, and on the encoder's adversarial LP relaxations."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import prunemip.lp as lp_mod
 from prunemip.encode import encode_adversarial
-from prunemip.lp import EQ, GE, LE, Constraint, LinearProgram, LpError, solve_lp
+from prunemip.lp import (EQ, GE, LE, Constraint, LinearProgram, LpError, check_feasible,
+                         solve_lp)
 from prunemip.nn import forward, init_mlp
 from prunemip.verify import runner_up
 
@@ -110,6 +114,91 @@ def test_random_lps_match_highs():
 def test_degenerate_lps_match_highs():
     seen = [assert_matches_highs(degenerate_lp(seed)) for seed in range(150)]
     assert seen.count("optimal") > 50
+
+
+def warm_children(problem, point, seed):
+    """LPs that the final basis of problem's optimum `point` can warm-start:
+    two children with one or two variables fixed at a finite bound or inside
+    their range (a binary's branch, a pinned split column), two with them
+    capped below their value at `point` (an integer branch x <= floor(x*)),
+    and problem with another objective. Some children are infeasible. Three
+    kinds are solved cold: a bounded free variable, which no column pair can
+    carry, an objective that prices a column without an upper bound
+    negative, and every child of a parent whose phase 1 dropped a repeated
+    row."""
+    rng = np.random.default_rng(seed)
+    lo, hi = problem.lower, problem.upper
+    for fix in (True, True, False, False):
+        child_lo, child_hi = lo.copy(), hi.copy()
+        for j in rng.choice(problem.num_vars, int(rng.integers(1, 3)), replace=False):
+            if fix:
+                values = [v for v in (lo[j], hi[j]) if math.isfinite(v)]
+                if len(values) != 1:
+                    values.append(float(rng.uniform(max(lo[j], -3.0), min(hi[j], 3.0))))
+                child_lo[j] = child_hi[j] = values[int(rng.integers(len(values)))]
+            else:
+                child_hi[j] = max(lo[j], point[j] - rng.uniform(0.1, 1.0))
+        yield replace(problem, lower=child_lo, upper=child_hi)
+    yield replace(problem, objective=rng.normal(size=problem.num_vars))
+
+
+def test_warm_children_match_cold_and_highs(monkeypatch):
+    """Warm solves agree with the cold solve and with HiGHS. Where the warm
+    path holds, the dual simplex alone reaches the optimum, so the primal
+    phase 2 after it makes no iteration."""
+    primal_iterations = []
+    run_simplex = lp_mod._run_simplex
+
+    def counting(T, basis, ub, flipped, bland_after, tally):
+        before = sum(tally.values())
+        status = run_simplex(T, basis, ub, flipped, bland_after, tally)
+        primal_iterations.append(sum(tally.values()) - before)
+        return status
+
+    monkeypatch.setattr(lp_mod, "_run_simplex", counting)
+    seen = Counter()
+    for seed in range(300):
+        for parent in (random_lp(seed), degenerate_lp(seed)):
+            state = solve_lp(parent)
+            if state.status != "optimal":
+                continue
+            for child in warm_children(parent, state.primal, seed):
+                primal_iterations.clear()
+                warm = solve_lp(child, warm=state)
+                if warm.warm and warm.status == "optimal":
+                    assert primal_iterations == [0]
+                cold = solve_lp(child)
+                status, obj = highs(child)
+                assert warm.status == cold.status == status
+                if status == "optimal":
+                    assert warm.objective == pytest.approx(obj, rel=1e-7, abs=1e-7)
+                    assert cold.objective == pytest.approx(obj, rel=1e-7, abs=1e-7)
+                    assert check_feasible(child, warm.primal, 1e-6)
+                seen[status, warm.warm] += 1
+    assert seen["optimal", True] > 200
+    assert seen["infeasible", True] > 100
+    assert seen["optimal", False] > 100
+    assert seen["unbounded", False] > 0
+
+
+def test_singular_warm_basis_falls_back_to_cold():
+    """A basis that repeats a column is singular: the child is solved cold."""
+    net = init_mlp(6, [8, 8], 3, seed=0)
+    x = np.random.default_rng(0).uniform(0, 1, 6)
+    logits, _ = forward(net, x)
+    k = int(np.argmax(logits))
+    model = encode_adversarial(net, x, 0.3, k, runner_up(logits, k))
+    state = solve_lp(model)
+    z = np.flatnonzero(model.is_binary)[0]
+    lower, upper = model.lower.copy(), model.upper.copy()
+    lower[z] = upper[z] = 1.0
+    child = replace(model, lower=lower, upper=upper)
+    assert solve_lp(child, warm=state).warm
+    singular = replace(state, basis=np.full_like(state.basis, state.basis[0]))
+    warm, cold = solve_lp(child, warm=singular), solve_lp(child)
+    assert not warm.warm
+    assert (warm.status, warm.objective) == (cold.status, cold.objective)
+    assert warm.objective == pytest.approx(highs(child)[1], rel=1e-7, abs=1e-7)
 
 
 @pytest.mark.parametrize("delta", [1 / 255, 2 / 255, 5 / 255, 20 / 255])

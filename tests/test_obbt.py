@@ -1,5 +1,5 @@
 """OBBT tests: containment, single-layer equality, point-box collapse,
-strict improvement on deeper nets."""
+strict improvement on deeper nets, early stops."""
 
 import itertools
 from types import SimpleNamespace
@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import prunemip.lp as lp_mod
 from prunemip.encode import InputBox, interval_bounds, obbt_tighten
 from prunemip.nn import forward
 
@@ -94,3 +95,16 @@ def test_deadline_returns_partly_tightened_valid_table(monkeypatch):
         assert np.array_equal(table_a[1][:2], table_b[1][:2])
     assert np.array_equal(part.lo[1][2:], seed_table.lo[1][2:])
     assert np.array_equal(part.hi[1][2:], seed_table.hi[1][2:])
+
+
+def test_failed_lps_keep_the_interval_bounds(monkeypatch):
+    """Every LP hits the simplex iteration limit: the table keeps its valid
+    interval bounds and marks no LP layer tightened."""
+    net = random_net(42, input_dim=3, hidden=[5, 5], classes=2)
+    box = unit_box(3)
+    seed_table = interval_bounds(net, box)
+    monkeypatch.setattr(lp_mod, "_MAX_ITER", -1)
+    table = obbt_tighten(net, box)
+    assert table.provenance == ["obbt", "interval"]
+    for got, want in ((table.lo, seed_table.lo), (table.hi, seed_table.hi)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prunemip.archs import parse_arch
-from prunemip.nn import Mlp, TrainConfig, accuracy, forward, init_mlp, sgd_train
+from prunemip.nn import Dataset, Mlp, TrainConfig, accuracy, forward, init_mlp, sgd_train
 from prunemip.prune import (
     OverPrunedError,
     grid_log_csv,
@@ -163,7 +163,17 @@ def test_pipeline_lambda_zero_degenerates(separable_data):
     cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.1, seed=0)
     net, report, log = prune_pipeline([8], separable_data, [SprConfig(0.0, 0.5)], cfg)
     assert report.neurons_removed == 0
-    assert log[-1]["flag"] == "ok"
+    assert log[-1]["flag"] == "nothing pruned"
+
+
+def test_pipeline_flags_a_diverged_baseline():
+    """Identical inputs with balanced labels: no net beats chance (1/3), so
+    the accuracy floor measured on the baseline means nothing."""
+    data = Dataset(np.zeros((60, 4)), np.arange(60) % 3, 3)
+    cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=0)
+    _, _, log = prune_pipeline([6], data, [SprConfig(0.0, 0.5)], cfg)
+    assert log[0]["accuracy"] == pytest.approx(1 / 3)
+    assert log[-1]["flag"] == "baseline diverged"
 
 
 def test_pipeline_selects_smaller_net(separable_data):

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import prunemip.lp as lp_mod
 from prunemip.bnb import SolveReport, SolverConfig, brute_force_verify
 from prunemip.encode import InputBox
 from prunemip.nn import Mlp, forward, init_mlp
@@ -150,6 +151,8 @@ def test_verdict_json_round_trip():
     assert doc["config"] == {"delta": 0.5}
     assert isinstance(doc["counterexample"], list)
     assert doc["nodes"] >= 1
+    assert doc["stats"] == verdict.report.stats
+    assert doc["stats"]["lp_solves"] == doc["nodes"]
 
 
 @pytest.mark.parametrize("status", ["optimal", "infeasible"])
@@ -169,6 +172,22 @@ def test_unproven_solve_is_unknown(monkeypatch, status):
     verdict = verify(inst, SolverConfig())
     assert verdict.outcome == "unknown"
     assert verdict.counterexample_input is None
+
+
+def test_lp_iteration_limit_is_unknown(monkeypatch):
+    """A node LP that hits the simplex iteration limit is dropped and
+    counted; the search cannot then prove anything, so the verdict is
+    unknown, never robust, and no error escapes."""
+    net = random_net(4, input_dim=4, hidden=[6, 5], classes=3, scale=1.2)
+    x = np.full(4, 0.5)
+    inst = build_instance(net, x, int(np.argmax(forward(net, x)[0])), 0.3)
+    assert verify(inst).outcome == "robust"
+    monkeypatch.setattr(lp_mod, "_MAX_ITER", 3)
+    verdict = verify(inst)
+    assert verdict.outcome == "unknown"
+    assert verdict.report.status == "lp-failed"
+    assert verdict.report.stats["failed_lps"] >= 1
+    assert verdict.report.best_bound == math.inf  # the root itself failed
 
 
 def test_time_limit_and_wall_seconds_cover_obbt():
