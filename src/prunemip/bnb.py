@@ -16,8 +16,10 @@ rows, so LP size stays constant down the tree. At every feasible node of a
 model that carries its network, the forward pass from the LP point's inputs
 gives a primal candidate. A node is pruned once its bound exceeds the
 incumbent by no more than ABS_GAP; the time limit is the only setting. A
-node whose LP fails (LpError, the simplex iteration limit) is dropped and
-counted, and the search can then end `lp-failed` but never `optimal`.
+node whose LP gives neither an optimum nor a proof of infeasibility
+(status unbounded or iteration-limit) keeps its parent's bound: it is
+dropped and counted, and the search then ends `lp-failed`, never
+`optimal`.
 Single-threaded, deterministic node accounting.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encode import assemble_trace, interval_bounds
-from .lp import EQ, LE, Constraint, LinearProgram, LpError, solve_lp
+from .lp import EQ, LE, Constraint, LinearProgram, solve_lp
 
 INT_TOL = 1e-6
 ABS_GAP = 1e-6  # a node is pruned unless its bound beats the incumbent by more
@@ -93,18 +95,17 @@ def solve(model, cfg, trace_log=None, started=None):
         if trace_log is not None:
             trace_log.append(f"{nodes} {depth} {-neg_bound} {inc_obj}")
         stats["lp_solves"] += 1
-        try:
-            sol = solve_lp(replace(model, lower=lo, upper=hi), warm=parent)
-        except LpError:  # the subtree is unexplored: keep its bound
-            stats["failed_lps"] += 1
-            failed_bound = max(failed_bound, -neg_bound)
-            continue
+        sol = solve_lp(replace(model, lower=lo, upper=hi), warm=parent)
         stats["pivots"] += sol.pivots
         stats["bound_flips"] += sol.bound_flips
         if parent is not None:
             stats["warm_starts" if sol.warm else "cold_fallbacks"] += 1
-        if sol.status != "optimal" or sol.objective <= inc_obj + ABS_GAP:
-            continue  # infeasible (never unbounded: the inputs are boxed) or pruned
+        if sol.status not in ("optimal", "infeasible"):  # unexplored: keep the parent's bound
+            stats["failed_lps"] += 1
+            failed_bound = max(failed_bound, -neg_bound)
+            continue
+        if sol.status == "infeasible" or sol.objective <= inc_obj + ABS_GAP:
+            continue
         if model.mlp is not None:
             point = assemble_trace(model, sol.primal[model.input_vars])
             obj = float(model.objective @ point)

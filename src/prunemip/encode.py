@@ -10,8 +10,10 @@ vp, vm >= 0 and a binary z with
 so vp = max(p, 0) and vm = max(-p, 0). The next layer consumes vp directly
 (variable identification, no extra row). Per-neuron constants Mp/Mm come
 from a bounds table built by interval propagation, optionally tightened by
-per-neuron LPs over the continuous relaxation (OBBT). Neurons whose interval
-lies on one side of zero need no binary and are encoded stably.
+per-neuron LPs over the continuous relaxation (OBBT); an OBBT LP that ends
+without an optimum leaves its neuron's interval bound, which stays valid.
+Neurons whose interval lies on one side of zero need no binary and are
+encoded stably.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import EQ, LE, Constraint, LinearProgram, LpError
+from .lp import EQ, LE, Constraint, LinearProgram
 from .nn import Mlp, forward
 
 STABLE_TOL = 0.0  # a neuron is stable only when its bound actually reaches 0
@@ -227,9 +229,10 @@ def obbt_tighten(mlp, box, deadline=None):
     Once time.monotonic() passes deadline (if given), the table is returned
     as it stands between neurons: untightened entries keep their interval
     bounds, so every entry is still valid, and only layers tightened in full
-    are marked "obbt". An LP that raises LpError (the simplex iteration
-    limit) leaves its side of that neuron at the interval bound, which is
-    still valid, and its layer unmarked.
+    are marked "obbt". An LP that does not end optimal (the simplex
+    iteration limit, or a relaxation infeasible only numerically) leaves its
+    side of that neuron at the interval bound, which is still valid, and its
+    layer marked "interval".
     """
     from .lp import solve_lp
 
@@ -248,15 +251,10 @@ def obbt_tighten(mlp, box, deadline=None):
             c = np.zeros(prefix.num_vars)
             c[prev] = W[j]
             for sense, pick in (("maximize", "hi"), ("minimize", "lo")):
-                try:
-                    sol = solve_lp(replace(prefix, objective_sense=sense, objective=c))
-                except LpError:
+                sol = solve_lp(replace(prefix, objective_sense=sense, objective=c))
+                if sol.status != "optimal":  # keep the interval bound
                     tightened = False
                     continue
-                if sol.status != "optimal":
-                    raise RuntimeError(
-                        f"OBBT relaxation {sol.status} at layer {li} neuron {j}"
-                    )
                 val = sol.objective + b[j]
                 if pick == "hi":
                     his[li][j] = min(his[li][j], val)

@@ -27,17 +27,23 @@ entering column reaches its own; the last case is a bound flip, an
 iteration without a pivot. Before phase 1 each boxed column starts at the
 bound its phase-2 cost favours.
 
+A solve ends with a status: "optimal", "infeasible", "unbounded", or
+"iteration-limit" once a primal simplex phase passes _MAX_ITER iterations
+(pivots and bound flips alike). It raises LpError only for malformed input.
+
 Warm start. An optimal LpSolution carries its final tableau state: the
 read constraints with the columns (src, sign), the basis and the flip set.
-solve_lp(lp, warm=state) keeps those columns, so a variable fixed since
-(lo == up) stays a column with upper bound 0, and re-optimises in four
-steps. One dense solve of the basis against [A | b] rebuilds the tableau. Every boxed nonbasic column whose reduced cost has
-the wrong sign is complemented; neither simplex prices a column of width
-0, which cannot move. A bounded dual simplex lets the most infeasible basic
-variable (below 0 or above its upper bound) leave, enters the ratio-test
-minimum over the nonbasic columns that can move (ties to the smallest
-column) and complements a variable that leaves above its upper bound. The
-primal phase 2 then cleans up. A leaving row with no column to enter
+solve_lp(lp, warm=state) takes that state only for the constraint list it
+was read from or an equal one, and raises LpError for any other. It keeps
+those columns, so a variable fixed since (lo == up) stays a column with
+upper bound 0, and re-optimises in four steps. One dense solve of the basis
+against [A | b] rebuilds the tableau. Every boxed nonbasic column whose
+reduced cost has the wrong sign is complemented; neither simplex prices a
+column of width 0, which cannot move. A bounded dual simplex lets the most
+infeasible basic variable (below 0 or above its upper bound) leave, enters
+the ratio-test minimum over the nonbasic columns that can move (ties to the
+smallest column) and complements a variable that leaves above its upper
+bound. The primal phase 2 then cleans up. A leaving row with no column to enter
 proves the LP infeasible. A singular basis, a dual infeasible column with
 no upper bound, bounds that the columns cannot carry, or the dual's
 iteration cap sends the LP to the cold solve instead. So does a state
@@ -64,8 +70,8 @@ _SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
 
 
 class LpError(ValueError):
-    """Malformed LP input (dimension mismatch, bad relation, ...), or the
-    simplex iteration limit."""
+    """Malformed LP input: a dimension mismatch, a bad relation, or a warm
+    state from other constraints."""
 
 
 @dataclass(frozen=True)
@@ -87,9 +93,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Columns:
-    """The constraints as read (A0, rhs, slack sign per row) and the
+    """The constraints as read (the list, A0, rhs, slack sign per row) and the
     tableau's structural columns: column k is variable src[k] times sign[k]."""
 
+    constraints: list
     A0: np.ndarray
     rhs: np.ndarray
     slack: np.ndarray
@@ -99,7 +106,7 @@ class Columns:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit"
     objective: float = None
     primal: np.ndarray = None
     pivots: int = 0
@@ -206,14 +213,15 @@ def _ratio_test(T, basis, ub, j):
 
 
 def _run_simplex(T, basis, ub, flipped, bland_after, tally):
-    """Minimize the row-0 objective in place. Returns 'optimal'|'unbounded'.
+    """Minimize the row-0 objective in place. Returns 'optimal', 'unbounded'
+    or 'iteration-limit'.
 
     Pivots and bound flips both count as iterations.
     """
     it = 0
     while True:
         if it > _MAX_ITER:
-            raise LpError("simplex iteration limit exceeded")
+            return "iteration-limit"
         costs = np.where(ub > 0.0, T[0, :-1], 0.0)  # a column of width 0 cannot move
         if costs.size == 0:  # every variable was fixed and substituted out
             return "optimal"
@@ -268,7 +276,7 @@ def _run_dual(T, basis, ub, flipped, max_iter, tally):
     return None
 
 
-def _cold_columns(lo, up, read):
+def _cold_columns(lp, lo, up, read):
     """Columns from the bounds: the layout of the module docstring."""
     fixed = lo == up
     shifted = ~fixed & np.isfinite(lo)
@@ -277,7 +285,7 @@ def _cold_columns(lo, up, read):
     src = np.repeat(np.arange(lo.size), np.where(fixed, 0, np.where(free, 2, 1)))
     sign = np.where(mirrored, -1.0, 1.0)[src]
     sign[1:][src[1:] == src[:-1]] = -1.0  # the second column of a free variable
-    return Columns(*read, src, sign)
+    return Columns(lp.constraints, *read, src, sign)
 
 
 def _standard_form(lp, columns):
@@ -317,17 +325,22 @@ def solve_lp(lp, warm=None):
     """Optimize lp. Deterministic.
 
     Cold (warm=None): the two-phase bounded-variable primal simplex. With
-    warm, an optimal LpSolution of an LP with the same constraints, it
-    re-optimises from warm's final basis by the dual simplex and falls back
-    to the cold solve where that basis does not serve (module docstring).
+    warm, an optimal LpSolution of an LP with the same constraints (the
+    same list, or an equal one), it re-optimises from warm's final basis by
+    the dual simplex and falls back to the cold solve where that basis does
+    not serve (module docstring). A solve that ends without an optimum or a
+    proof of infeasibility has status "unbounded" or "iteration-limit".
     """
     if warm is None:
         read = _read(lp)
     else:
         _check(lp)
-        read = warm.columns.A0, warm.columns.rhs, warm.columns.slack
-        if read[0].shape != (len(lp.constraints), lp.num_vars):
+        cols = warm.columns
+        if lp.constraints is not cols.constraints and lp.constraints != cols.constraints:
+            raise LpError("the warm state is from an LP with other constraints")
+        if cols.A0.shape[1] != lp.num_vars:
             raise LpError("the warm state is from an LP of another shape")
+        read = cols.A0, cols.rhs, cols.slack
     lo = np.asarray(lp.lower, dtype=float)
     up = np.asarray(lp.upper, dtype=float)
     if np.any(lo > up):
@@ -336,7 +349,7 @@ def solve_lp(lp, warm=None):
         sol = _solve_warm(lp, warm)
         if sol is not None:
             return sol
-    return _solve_cold(lp, _cold_columns(lo, up, read))
+    return _solve_cold(lp, _cold_columns(lp, lo, up, read))
 
 
 def _solve_cold(lp, columns):
@@ -381,10 +394,10 @@ def _solve_cold(lp, columns):
             T[0] -= T[i + 1]
         T[0, nreal:-1] = 0.0  # reduced cost of basic artificials
         status = _run_simplex(T, basis, ub, flipped, _bland_after(lp), tally)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
-        if T[1:, -1][basis >= nreal].sum() > FEAS_TOL:
-            return LpSolution("infeasible", pivots=tally["pivots"],
-                              bound_flips=tally["flips"])
+        if status == "optimal" and T[1:, -1][basis >= nreal].sum() > FEAS_TOL:
+            status = "infeasible"  # the artificials cannot all reach 0
+        if status != "optimal":  # bounded below by 0, phase 1 is never unbounded
+            return LpSolution(status, pivots=tally["pivots"], bound_flips=tally["flips"])
         # Drive remaining artificials out of the basis; drop redundant rows.
         keep = np.ones(m + 1, dtype=bool)
         for r in range(1, m + 1):
@@ -457,8 +470,8 @@ def _phase2(lp, columns, T, basis, ub, flipped, offset, tally, warm):
     """Primal phase 2 from the priced tableau, and the solution it reaches."""
     status = _run_simplex(T, basis, ub, flipped, _bland_after(lp), tally)
     counts = {"pivots": tally["pivots"], "bound_flips": tally["flips"], "warm": warm}
-    if status == "unbounded":
-        return LpSolution("unbounded", **counts)
+    if status != "optimal":
+        return LpSolution(status, **counts)
     vals = np.zeros(ub.size)
     vals[basis] = T[1:, -1]
     vals[flipped] = ub[flipped] - vals[flipped]

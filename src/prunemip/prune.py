@@ -8,8 +8,10 @@ from .archs import format_arch
 from .nn import Mlp, accuracy, init_mlp, sgd_train
 
 
-class OverPrunedError(RuntimeError):
-    """A hidden layer would lose all of its neurons at the given threshold."""
+class OverPrunedError(ValueError):
+    """A hidden layer would lose all of its neurons at the given threshold:
+    the threshold, or the penalty that drove the weights below it, is too
+    large."""
 
 
 @dataclass
@@ -128,7 +130,8 @@ def prune_pipeline(
         })
         candidates.append((remaining, acc, tuned, report))
     if not candidates:
-        raise OverPrunedError("every grid point over-pruned a layer")
+        raise OverPrunedError(f"every grid point over-pruned a layer at tau={tau}; "
+                              "lower tau or lambda")
     eligible = [c for c in candidates if c[1] >= base_acc - acc_floor]
     if eligible:
         remaining, acc, net, report = min(eligible, key=lambda c: (c[0], -c[1]))

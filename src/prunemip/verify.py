@@ -5,8 +5,9 @@ classified point makes the runner-up class h outscore the true class k.
 Robust means the solver certified max(y_h - y_k) <= 0; a counterexample is
 any box point whose forward margin is positive (validated independently of
 the solver). A solve that ends without either (a positive optimum whose point
-the forward pass rejects, an infeasible model, or a search that dropped a
-node whose LP failed) is unknown.
+the forward pass rejects, an infeasible model, or a search that ended
+`lp-failed` because a node LP ended unbounded or at the simplex iteration
+limit) is unknown.
 """
 
 import json
@@ -71,6 +72,10 @@ def runner_up(logits, k):
 
 
 def build_instance(mlp, x, label, delta, units="scaled", clamp=True):
+    """The instance of x with its label. Raises ValueError for a label that
+    is not a class, InvalidInstanceError for a misclassified x."""
+    if not 0 <= label < mlp.output_dim:
+        raise ValueError(f"label {label} is outside the classes 0..{mlp.output_dim - 1}")
     x = np.asarray(x, dtype=float)
     logits, _ = forward(mlp, x)
     if int(np.argmax(logits)) != label:

@@ -107,6 +107,20 @@ def test_infeasible_injected_bounds():
     assert report.nodes >= 1
 
 
+def test_unbounded_relaxation_ends_lp_failed():
+    """max y subject to y - z >= 0, y free, z binary: the root LP is
+    unbounded, which proves nothing about the MILP, so the search keeps the
+    root's bound (+inf) and ends lp-failed, not infeasible."""
+    model = parse_lp("Maximize\n obj: 1.0 y\nSubject To\n c0: 1.0 y - 1.0 z >= 0.0\n"
+                     "Bounds\n y free\nBinaries\n z\nEnd\n")
+    report = solve(model, SolverConfig())
+    assert report.status == "lp-failed"
+    assert report.best_bound == math.inf
+    assert report.incumbent_obj is None
+    assert report.stats["failed_lps"] == report.stats["lp_solves"] == 1
+    assert report.stats["pivots"] + report.stats["bound_flips"] > 0  # a failed LP is counted
+
+
 def test_node_count_determinism():
     for seed in (5, 11, 17):
         net, _, _, _, model = _adversarial_instance(seed)

@@ -12,6 +12,8 @@ from prunemip.bnb import SolveReport
 from prunemip.cli import BENCH_HEADER, EXIT_USAGE, main
 from prunemip.nn import Mlp, accuracy, load_model, save_model
 
+from conftest import random_net
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -55,9 +57,12 @@ def test_train_bad_arch_exits(tmp_path):
     ["--model", "{tmp}/no_layers.json"],
     ["--model", "{tmp}/layers_empty.json"],
     ["--model", "{tmp}/no_rows.json"],
+    ["--input", "{tmp}/x.json", "--label", "99"],  # the net has 3 classes
+    ["--input", "{tmp}/x.json", "--label", "-1"],
     None,  # no --model: argparse's own usage error
 ])
 def test_verify_bad_argument_exits_usage(flags, trained_model, capsys, tmp_path):
+    (tmp_path / "x.json").write_text(json.dumps([0.5] * 6))
     (tmp_path / "no_layers.json").write_text('{"format_version": 1}')
     (tmp_path / "layers_empty.json").write_text('{"format_version": 1, "layers": []}')
     (tmp_path / "no_rows.json").write_text(
@@ -133,6 +138,23 @@ def test_verify_lp_iteration_limit_exits_unknown(monkeypatch, trained_model, cap
     assert doc["stats"]["failed_lps"] >= 1
 
 
+def test_verify_keeps_interval_bounds_when_obbt_lps_fail(monkeypatch, tmp_path, capsys):
+    """Every OBBT LP ends infeasible, as a relaxation over a box can only
+    numerically: the interval bounds stand in, and verify still reaches the
+    verdict it reaches unpatched instead of a traceback."""
+    net = random_net(4, input_dim=4, hidden=[6, 5], classes=3, scale=1.2)
+    model_path, x_path = tmp_path / "net.json", tmp_path / "x.json"
+    save_model(net, model_path)
+    x_path.write_text(json.dumps([0.5] * 4))
+    argv = ("verify", "--model", str(model_path), "--input", str(x_path), "--delta", "0.3")
+    assert run_cli(*argv) == 0
+    lp_mod = sys.modules["prunemip.lp"]
+    monkeypatch.setattr(lp_mod, "solve_lp", lambda lp, warm=None: lp_mod.LpSolution("infeasible"))
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "robust"
+
+
 def test_verify_misclassified_exit(tmp_path, trained_model):
     net, _ = load_model(trained_model)
     x_path = tmp_path / "x.json"
@@ -163,6 +185,21 @@ def test_prune_command(tmp_path):
     assert grid[0] == "lambda,alpha,m,tau,pruned_arch,accuracy,neurons_removed"
     report = json.loads((tmp_path / "pruned.json.report.json").read_text())
     assert report["pruned_arch"] == net.arch
+
+
+def test_prune_over_pruned_grid_exits_usage(tmp_path, capsys):
+    """A penalty that empties a layer at every grid point is a rejected
+    flag value: one error line and exit 64, no traceback."""
+    out = tmp_path / "pruned.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("prune", "--arch", "1x2", "--out", str(out), "--epochs", "3",
+                "--grid-lambdas", "1000", "--grid-alphas", "0.5")
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["prunemip: error: every grid point over-pruned a layer "
+                                "at tau=0.001; lower tau or lambda"]
+    assert not out.exists()
 
 
 def test_export_lp(tmp_path, trained_model):

@@ -3,7 +3,8 @@
 Every module-level import in a module is used by that module (__init__.py is
 exempt: its imports are the package's re-exports). The intra-package
 `from .x import y` edges, at module level and inside functions, name no
-other module's private member and form no cycle.
+other module's private member and form no cycle. No module holds an
+`assert` statement, which `python -O` strips.
 
 No linter ships with the project, so this walks the source with the
 standard-library ast module.
@@ -38,6 +39,23 @@ def test_detector_flags_an_unused_import(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("import os\nimport numpy as np\nfrom math import pi, tau\n\nx = np.ones(2) * tau\n")
     assert unused_imports(src) == ["mod.py:1: os", "mod.py:3: pi"]
+
+
+def assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [a for p in modules for a in assert_statements(p)] == []
+
+
+def test_detector_flags_an_assert(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n")
+    assert assert_statements(src) == ["mod.py:3"]
 
 
 def package_imports(path):

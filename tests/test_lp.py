@@ -231,3 +231,19 @@ def test_no_warm_start_after_a_dropped_row():
     assert state.status == "optimal" and state.basis is None
     sol = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons), warm=state)
     assert sol.status == "infeasible" and not sol.warm
+
+
+def test_warm_state_from_other_constraints_rejected():
+    """max x with x <= 2 and with x <= 7 have the same shape; the state of
+    the first would give the second 2, not 7. An equal constraint list,
+    not only the same one, serves."""
+    a = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 2.0)])
+    b = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 7.0)])
+    state = solve_lp(a)
+    with pytest.raises(LpError, match="other constraints"):
+        solve_lp(b, warm=state)
+    assert solve_lp(b).objective == pytest.approx(7.0, abs=1e-9)
+    again = lp(1, "maximize", [1], [0], [1.5], [Constraint({0: 1.0}, LE, 2.0)])
+    assert again.constraints is not a.constraints
+    sol = solve_lp(again, warm=state)
+    assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)

@@ -108,3 +108,29 @@ def test_failed_lps_keep_the_interval_bounds(monkeypatch):
     assert table.provenance == ["obbt", "interval"]
     for got, want in ((table.lo, seed_table.lo), (table.hi, seed_table.hi)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_lp_without_an_optimum_keeps_the_interval_bound(monkeypatch):
+    """The first OBBT LP (layer 1, neuron 0, maximize) ends infeasible, as a
+    relaxation over a box can only numerically: that neuron keeps its
+    interval upper bound, its layer stays marked interval, and every other
+    bound is the one full OBBT finds."""
+    net = random_net(42, input_dim=3, hidden=[5, 5], classes=2)
+    box = unit_box(3)
+    seed_table = interval_bounds(net, box)
+    full = obbt_tighten(net, box)
+    assert full.hi[1][0] < seed_table.hi[1][0]  # the LP would tighten it
+    solve_lp, calls = lp_mod.solve_lp, []
+
+    def first_infeasible(lp, warm=None):
+        calls.append(lp.objective_sense)
+        return lp_mod.LpSolution("infeasible") if len(calls) == 1 else solve_lp(lp, warm)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", first_infeasible)
+    table = obbt_tighten(net, box)
+    assert calls[0] == "maximize"
+    assert table.provenance == ["obbt", "interval"]
+    assert table.hi[1][0] == seed_table.hi[1][0]
+    expected_hi = [full.hi[0], np.concatenate([seed_table.hi[1][:1], full.hi[1][1:]])]
+    for got, want in ((table.lo, full.lo), (table.hi, expected_hi)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -12,6 +12,7 @@ import pytest
 import prunemip.lp as lp_mod
 from prunemip.bnb import SolveReport, SolverConfig, brute_force_verify
 from prunemip.encode import InputBox
+from prunemip.lp import LpSolution
 from prunemip.nn import Mlp, forward, init_mlp
 from prunemip.verify import (
     InvalidInstanceError,
@@ -41,6 +42,15 @@ def test_build_instance_rejects_misclassified():
     wrong = (int(np.argmax(logits)) + 1) % 3
     with pytest.raises(InvalidInstanceError):
         build_instance(net, x, wrong, 0.1)
+
+
+@pytest.mark.parametrize("label", [99, 3, -1])
+def test_build_instance_rejects_a_label_that_is_no_class(label):
+    """A label outside 0..C-1 is a bad argument, not a misclassified input."""
+    net = random_net(0, input_dim=3, classes=3)
+    with pytest.raises(ValueError, match="outside the classes") as exc:
+        build_instance(net, np.full(3, 0.5), label, 0.1)
+    assert not isinstance(exc.value, InvalidInstanceError)
 
 
 def test_non_finite_delta_rejected():
@@ -188,6 +198,30 @@ def test_lp_iteration_limit_is_unknown(monkeypatch):
     assert verdict.report.status == "lp-failed"
     assert verdict.report.stats["failed_lps"] >= 1
     assert verdict.report.best_bound == math.inf  # the root itself failed
+
+
+def test_unbounded_node_lp_is_unknown(monkeypatch):
+    """A node LP that ends unbounded proves nothing about its subtree: the
+    node keeps its parent's bound and a robust instance becomes unknown,
+    never robust with part of the tree unexplored."""
+    net = random_net(4, input_dim=4, hidden=[6, 5], classes=3, scale=1.2)
+    x = np.full(4, 0.5)
+    inst = build_instance(net, x, int(np.argmax(forward(net, x)[0])), 0.3)
+    clean = verify(inst)
+    assert clean.outcome == "robust" and clean.report.nodes > 2
+    bnb_mod = sys.modules["prunemip.bnb"]
+    solve_lp, calls = bnb_mod.solve_lp, []
+
+    def second_unbounded(lp, warm=None):
+        calls.append(warm)
+        return LpSolution("unbounded") if len(calls) == 2 else solve_lp(lp, warm=warm)
+
+    monkeypatch.setattr(bnb_mod, "solve_lp", second_unbounded)
+    verdict = verify(inst)
+    assert verdict.outcome == "unknown"
+    assert verdict.report.status == "lp-failed"
+    assert verdict.report.stats["failed_lps"] == 1
+    assert verdict.report.best_bound > verdict.report.incumbent_obj
 
 
 def test_time_limit_and_wall_seconds_cover_obbt():
