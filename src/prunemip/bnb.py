@@ -74,9 +74,10 @@ def solve(model, cfg, trace_log=None, started=None):
     if model.objective_sense != "maximize":
         raise ValueError(f"solve maximizes; the model's sense is {model.objective_sense!r}")
     z_cols = np.flatnonzero(model.is_binary)
-    # the encoder's neurons pin a split column per branch value; any other
-    # binary is pinned by its rows alone
-    pins = {nv.z: (nv.vp, nv.vm) for layer in model.neurons for nv in layer if nv.z is not None}
+    # from the encoder's model.relu: a split neuron's z pins vp at 0 (z=0) or
+    # vm at 0 (z=1); any other binary is pinned by its rows alone
+    pins = {z: (vp, vm) for vps, vms, zs in model.relu
+            for vp, vm, z in zip(vps.tolist(), vms.tolist(), zs.tolist()) if z >= 0}
 
     incumbent = None
     inc_obj = failed_bound = -math.inf

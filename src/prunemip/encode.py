@@ -25,8 +25,6 @@ import numpy as np
 from .lp import EQ, LE, Constraint, LinearProgram
 from .nn import Mlp, forward
 
-STABLE_TOL = 0.0  # a neuron is stable only when its bound actually reaches 0
-
 
 @dataclass
 class InputBox:
@@ -75,16 +73,6 @@ class BoundsTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class NeuronVars:
-    """Variable columns backing one hidden neuron's encoding."""
-
-    kind: str  # "split" | "active" | "inactive"
-    vp: int
-    vm: int = None
-    z: int = None
-
-
 @dataclass(kw_only=True)
 class MipModel(LinearProgram):
     """A MILP that is its own continuous relaxation: the LinearProgram
@@ -97,7 +85,10 @@ class MipModel(LinearProgram):
     mlp: Mlp = None  # the network encoded; None for a model read from LP text
     input_vars: list = field(default_factory=list)
     output_vars: list = field(default_factory=list)
-    neurons: list = field(default_factory=list)  # list per layer of list[NeuronVars]
+    # per hidden layer, int arrays (vp, vm, z) of each neuron's columns, -1
+    # where it has none: a stable neuron has no vm and no z, and an inactive
+    # one keeps a vp column fixed at 0
+    relu: list = field(default_factory=list)
 
     @property
     def num_binaries(self):
@@ -163,39 +154,36 @@ class _ModelBuilder:
 def _encode_hidden(layers, box, bounds, eliminate_stable=True):
     """Input columns and the big-M rows of the given hidden layers.
 
-    Returns (builder, input columns, NeuronVars per layer, the columns
-    feeding the layer after the last one given).
+    Returns (builder, input columns, (vp, vm, z) column arrays per layer,
+    the columns feeding the layer after the last one given).
     """
     bld = _ModelBuilder()
     inputs = [bld.add_var(f"x_{i}", box.lower[i], box.upper[i]) for i in range(box.dim)]
     prev = inputs
-    neurons = []
+    relu = []
     for li, (W, b) in enumerate(layers):
         if W.shape[0] != bounds.lo[li].size:
             raise ValueError(f"bounds table layer {li} width mismatch")
-        layer = []
+        vps, vms, zs = np.full((3, W.shape[0]), -1)
         mp_arr, mm_arr = bounds.m_plus(li), bounds.m_minus(li)
         for j in range(W.shape[0]):
             lo_j, hi_j = bounds.lo[li][j], bounds.hi[li][j]
             mp, mm = mp_arr[j], mm_arr[j]
-            if eliminate_stable and hi_j <= STABLE_TOL:
-                vp = bld.add_var(f"vp_{li}_{j}", 0.0, 0.0)
-                layer.append(NeuronVars("inactive", vp))
-            elif eliminate_stable and lo_j >= -STABLE_TOL:
-                vp = bld.add_var(f"vp_{li}_{j}", max(lo_j, 0.0), hi_j)
+            if eliminate_stable and hi_j <= 0.0:  # inactive: vp fixed at 0, no row
+                vps[j] = bld.add_var(f"vp_{li}_{j}", 0.0, 0.0)
+            elif eliminate_stable and lo_j >= 0.0:  # active: vp = p
+                vp = vps[j] = bld.add_var(f"vp_{li}_{j}", max(lo_j, 0.0), hi_j)
                 bld.add_affine({vp: 1.0}, prev, W[j], b[j])
-                layer.append(NeuronVars("active", vp))
             else:
-                vp = bld.add_var(f"vp_{li}_{j}", 0.0, mp)
-                vm = bld.add_var(f"vm_{li}_{j}", 0.0, mm)
-                z = bld.add_var(f"z_{li}_{j}", 0.0, 1.0, binary=True)
+                vp = vps[j] = bld.add_var(f"vp_{li}_{j}", 0.0, mp)
+                vm = vms[j] = bld.add_var(f"vm_{li}_{j}", 0.0, mm)
+                z = zs[j] = bld.add_var(f"z_{li}_{j}", 0.0, 1.0, binary=True)
                 bld.add_affine({vp: 1.0, vm: -1.0}, prev, W[j], b[j])
                 bld.add_con({vp: 1.0, z: -mp}, LE, 0.0)
                 bld.add_con({vm: 1.0, z: mm}, LE, mm)
-                layer.append(NeuronVars("split", vp, vm, z))
-        neurons.append(layer)
-        prev = [nv.vp for nv in layer]
-    return bld, inputs, neurons, prev
+        relu.append((vps, vms, zs))
+        prev = vps.tolist()
+    return bld, inputs, relu, prev
 
 
 def encode_network(mlp, box, bounds, eliminate_stable=True):
@@ -209,14 +197,14 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
         raise ValueError("box dimension does not match network input")
     if len(bounds.lo) != len(mlp.layers) - 1:
         raise ValueError("bounds table does not match network depth")
-    bld, inputs, neurons, prev = _encode_hidden(mlp.layers[:-1], box, bounds, eliminate_stable)
+    bld, inputs, relu, prev = _encode_hidden(mlp.layers[:-1], box, bounds, eliminate_stable)
     W, b = mlp.layers[-1]
     outputs = []
     for j in range(W.shape[0]):
         y = bld.add_var(f"y_{j}", -math.inf, math.inf)
         bld.add_affine({y: 1.0}, prev, W[j], b[j])
         outputs.append(y)
-    return bld.finish(mlp=mlp, input_vars=inputs, output_vars=outputs, neurons=neurons)
+    return bld.finish(mlp=mlp, input_vars=inputs, output_vars=outputs, relu=relu)
 
 
 def obbt_tighten(mlp, box, deadline=None):
@@ -308,15 +296,12 @@ def assemble_trace(model, x):
     logits, preacts = forward(model.mlp, x)
     point = np.zeros(model.num_vars)
     point[model.input_vars] = x
-    for li, layer in enumerate(model.neurons):
-        for j, nv in enumerate(layer):
-            p = preacts[li][j]
-            if nv.kind == "inactive":
-                continue  # vp pinned at 0
-            point[nv.vp] = max(p, 0.0)
-            if nv.kind == "split":
-                point[nv.vm] = max(-p, 0.0)
-                point[nv.z] = 1.0 if p > 0 else 0.0
+    for (vp, vm, z), p in zip(model.relu, preacts):
+        split = z >= 0
+        on = split | (model.upper[vp] > 0)  # split or active; an inactive vp stays 0
+        point[vp[on]] = np.maximum(p[on], 0.0)
+        point[vm[split]] = np.maximum(-p[split], 0.0)
+        point[z[split]] = p[split] > 0
     point[model.output_vars] = logits
     return point
 

@@ -112,6 +112,30 @@ def test_trace_soundness():
             assert check_feasible(model, point, 1e-7)
 
 
+@pytest.mark.parametrize("eliminate_stable", [True, False])
+def test_relu_layout_partitions_the_columns(eliminate_stable):
+    """Every column is an input, one neuron's vp, vm or z, or an output; a
+    neuron has a z exactly where its column is binary, and a vm with it."""
+    stable = 0
+    for seed in range(20):
+        net = random_net(400 + seed, scale=2.0)
+        box = unit_box(net.input_dim)
+        model = encode_network(net, box, interval_bounds(net, box), eliminate_stable)
+        assert len(model.relu) == len(net.hidden_widths)
+        owners = np.zeros(model.num_vars, dtype=int)
+        np.add.at(owners, model.input_vars + model.output_vars, 1)
+        binary = np.zeros(model.num_vars, dtype=bool)
+        for (vp, vm, z), width in zip(model.relu, net.hidden_widths):
+            assert vp.shape == vm.shape == z.shape == (width,)
+            assert (vp >= 0).all() and np.array_equal(vm >= 0, z >= 0)
+            np.add.at(owners, np.concatenate([vp, vm[vm >= 0], z[z >= 0]]), 1)
+            binary[z[z >= 0]] = True
+            stable += int((z < 0).sum())
+        assert (owners == 1).all()
+        assert np.array_equal(model.is_binary, binary)
+    assert (stable > 0) == eliminate_stable
+
+
 def test_point_box_reproduces_forward():
     """Fixing the box to a point and the binaries to the activation signs
     makes the LP relaxation reproduce forward(x)."""
@@ -123,11 +147,9 @@ def test_point_box_reproduces_forward():
         model = encode_network(net, box, interval_bounds(net, box))
         logits, preacts = forward(net, x)
         lo, hi = model.lower.copy(), model.upper.copy()
-        for li, layer in enumerate(model.neurons):
-            for j, nv in enumerate(layer):
-                if nv.z is not None:
-                    v = 1.0 if preacts[li][j] > 0 else 0.0
-                    lo[nv.z] = hi[nv.z] = v
+        for (_, _, z), p in zip(model.relu, preacts):
+            split = z >= 0
+            lo[z[split]] = hi[z[split]] = p[split] > 0
         for h in range(net.output_dim):
             c = np.zeros(model.num_vars)
             c[model.output_vars[h]] = 1.0
@@ -149,7 +171,6 @@ def test_adversarial_model_encodes_the_margin_network():
     """One output column, `margin`, which is the whole objective; one row
     beyond the hidden layers; and every box point's trace puts the logit
     margin on it."""
-    rows_per_kind = {"split": 3, "active": 1, "inactive": 0}
     rng = np.random.default_rng(11)
     for seed in range(10):
         net = random_net(1100 + seed, classes=4, scale=1.2)
@@ -163,7 +184,9 @@ def test_adversarial_model_encodes_the_margin_network():
         unit = np.zeros(model.num_vars)
         unit[out] = 1.0
         assert np.array_equal(model.objective, unit)
-        hidden_rows = sum(rows_per_kind[nv.kind] for layer in model.neurons for nv in layer)
+        # 3 rows per split neuron, 1 per active one (its vp is not fixed at 0)
+        hidden_rows = sum(3 * (z >= 0).sum() + ((z < 0) & (model.upper[vp] > 0)).sum()
+                          for vp, _, z in model.relu)
         assert len(model.constraints) == hidden_rows + 1
         lo, hi = model.lower[model.input_vars], model.upper[model.input_vars]
         for _ in range(50):
