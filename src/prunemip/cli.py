@@ -16,10 +16,10 @@ from .archs import format_arch, parse_arch
 from .bnb import SolverConfig
 from .data import gen_synthetic, load_mnist
 from .encode import encode_adversarial, export_lp
-from .nn import TrainConfig, forward, init_mlp, load_model, save_model, sgd_train
+from .nn import TrainConfig, accuracy, forward, init_mlp, load_model, save_model, sgd_train
 from .prune import grid_log_csv, prune_pipeline
 from .spr import SprConfig
-from .verify import InvalidInstanceError, build_instance, cross_check, verify
+from .verify import InvalidInstanceError, build_instance, cross_check, strict_json, verify
 
 EXIT_ROBUST = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -40,7 +40,7 @@ def _write_manifest(out_path, args):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=1, default=str) + "\n")
+    path.write_text(strict_json(manifest, indent=1, default=str) + "\n")
 
 
 def _add_dataset_args(p):
@@ -87,7 +87,7 @@ def cmd_train(args):
         "batch_size": args.batch,
         "learning_rate": args.lr,
         "seed": args.seed,
-        "final_accuracy": history[-1]["accuracy"] if history else None,
+        "final_accuracy": accuracy(net, data),
     }
     if reg is not None:
         meta["spr"] = {"lambda": reg.lam, "alpha": reg.alpha, "m": reg.m}
@@ -132,6 +132,8 @@ def _pick_instance(mlp, args):
         logits, _ = forward(mlp, x)
         label = args.label if args.label is not None else int(np.argmax(logits))
         return x, label
+    if args.label is not None:
+        raise ValueError("--label needs --input; a dataset sample carries its own label")
     data = _load_data(args, split="test" if args.mnist else "train")
     idx = args.index
     if not 0 <= idx < len(data):

@@ -92,8 +92,8 @@ def gen_synthetic(dims, classes, samples, margin, seed):
     """
     if dims < 1 or classes < 2 or samples < classes:
         raise ValueError("need dims >= 1, classes >= 2, samples >= classes")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError("margin must be finite and >= 0")
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(classes, dims))
     if classes <= dims:

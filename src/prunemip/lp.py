@@ -70,8 +70,9 @@ _SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
 
 
 class LpError(ValueError):
-    """Malformed LP input: a dimension mismatch, a bad relation, or a warm
-    state from other constraints."""
+    """Malformed LP input: a dimension mismatch, a bad relation, a NaN bound,
+    a non-finite objective entry, coefficient or rhs, or a warm state from
+    other constraints."""
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,10 @@ def _check(lp):
         raise LpError("objective/bounds length does not match num_vars")
     if lp.objective_sense not in ("maximize", "minimize"):
         raise LpError(f"unknown objective sense {lp.objective_sense!r}")
+    if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
+        raise LpError("a variable bound is NaN")
+    if not np.isfinite(lp.objective).all():
+        raise LpError("the objective has a non-finite coefficient")
 
 
 def _read(lp):
@@ -152,6 +157,9 @@ def _read(lp):
                       f"outside 0..{n - 1}")
     A0 = np.zeros((m, n))
     A0[rows, cols] = vals
+    bad = np.flatnonzero(~(np.isfinite(A0).all(axis=1) & np.isfinite(rhs)))
+    if bad.size:
+        raise LpError(f"constraint {bad[0]} has a non-finite coefficient or rhs")
     return A0, rhs, slack
 
 

@@ -11,6 +11,7 @@ limit) is unknown.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -58,7 +59,23 @@ class Verdict:
         }
         if config is not None:
             doc["config"] = config
-        return json.dumps(doc, indent=1)
+        return strict_json(doc, indent=1)
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
+def strict_json(obj, **kwargs):
+    """json.dumps with every non-finite float written as null: strict JSON,
+    where json.dumps would write the non-standard Infinity and NaN."""
+    return json.dumps(_finite_or_none(obj), allow_nan=False, **kwargs)
 
 
 class InvalidInstanceError(ValueError):

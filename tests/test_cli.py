@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prunemip
 from prunemip.bnb import SolveReport
 from prunemip.cli import BENCH_HEADER, EXIT_USAGE, main
 from prunemip.nn import Mlp, accuracy, load_model, save_model
@@ -40,6 +43,16 @@ def test_train_writes_model_log_manifest(trained_model):
     assert "version" in manifest and "argv" in manifest
 
 
+def test_train_zero_epochs(tmp_path, capsys):
+    """No epoch means no history; the final accuracy is the untrained net's."""
+    out = tmp_path / "m.json"
+    assert run_cli("train", "--arch", "1x4", "--epochs", "0", "--out", str(out)) == 0
+    net, meta = load_model(out)
+    assert net.hidden_widths == [4]
+    assert 0.0 <= meta["final_accuracy"] <= 1.0
+    assert f"final accuracy {meta['final_accuracy']:.4f}" in capsys.readouterr().out
+
+
 def test_train_bad_arch_exits(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("train", "--arch", "0x10", "--out", str(tmp_path / "nope.json"))
@@ -60,6 +73,8 @@ def test_train_bad_arch_exits(tmp_path):
     ["--input", "{tmp}/x.json", "--label", "99"],  # the net has 3 classes
     ["--input", "{tmp}/x.json", "--label", "-1"],
     None,  # no --model: argparse's own usage error
+    ["--label", "99"],  # a dataset sample carries its own label
+    ["--label", "0"],
 ])
 def test_verify_bad_argument_exits_usage(flags, trained_model, capsys, tmp_path):
     (tmp_path / "x.json").write_text(json.dumps([0.5] * 6))
@@ -116,6 +131,31 @@ def test_verify_timeout_exit(tmp_path, trained_model):
     assert code == 2
 
 
+def _strict_load(text):
+    """json.loads that refuses the non-standard Infinity, -Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("time_limit, code", [("1e-9", 2), ("inf", 0)])
+def test_verify_json_is_strict(time_limit, code, tmp_path, trained_model, capsys):
+    """A timeout's best bound (+inf) and an infinite time limit are written
+    as null in the verdict, its file and its manifest."""
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--model", str(trained_model), "--delta", "2.0" if code else "0",
+                   "--time-limit", time_limit, "--index", "0", "--out", str(out)) == code
+    doc = _strict_load(capsys.readouterr().out)
+    assert _strict_load(out.read_text()) == doc
+    manifest = _strict_load((tmp_path / "v.json.manifest.json").read_text())
+    if time_limit == "inf":
+        assert doc["config"]["time_limit"] is None
+        assert manifest["flags"]["time_limit"] is None
+    else:
+        assert doc["outcome"] == "timeout" and doc["best_bound"] is None
+        assert manifest["flags"]["time_limit"] == 1e-9
+
+
 def _unknown_report(model, cfg, **kwargs):
     """A positive optimum with no incumbent point: proves nothing either way."""
     return SolveReport("optimal", 0.5, 0.5, 1, 0.0)
@@ -132,10 +172,11 @@ def test_verify_lp_iteration_limit_exits_unknown(monkeypatch, trained_model, cap
     monkeypatch.setattr(sys.modules["prunemip.lp"], "_MAX_ITER", 3)
     assert run_cli("verify", "--model", str(trained_model),
                    "--delta", "0.3", "--index", "0") == 4
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_load(capsys.readouterr().out)  # best_bound +inf is null
     assert doc["outcome"] == "unknown"
     assert doc["status"] == "lp-failed"
     assert doc["stats"]["failed_lps"] >= 1
+    assert doc["best_bound"] is None
 
 
 def test_verify_keeps_interval_bounds_when_obbt_lps_fail(monkeypatch, tmp_path, capsys):
@@ -306,7 +347,10 @@ def test_bench_marks_unknown_outcomes(monkeypatch, tmp_path):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the package from where this process found it
+    paths = [str(Path(prunemip.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run([sys.executable, "-m", "prunemip.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -1,6 +1,7 @@
 """Dataset tests: IDX fixtures with distinct error cases, synthetic blobs."""
 
 import gzip
+import math
 import struct
 
 import numpy as np
@@ -141,6 +142,9 @@ def test_synthetic_validation():
         gen_synthetic(3, 3, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
         gen_synthetic(3, 3, 10, -1.0, seed=0)
+    for margin in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gen_synthetic(3, 3, 10, margin, seed=0)
 
 
 def test_dataset_subset(separable_data):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from prunemip.encode import parse_lp
 from prunemip.lp import (
     EQ,
     GE,
@@ -18,6 +19,7 @@ from prunemip.lp import (
 )
 
 INF = math.inf
+NAN = math.nan
 
 
 def lp(n, sense, c, lo, hi, cons):
@@ -71,6 +73,29 @@ def test_malformed_dimensions_rejected():
         solve_lp(lp(2, "maximize", [1, 1], [0, 0], [1, 1], [Constraint({-1: 1.0}, LE, 0.0)]))
     with pytest.raises(LpError):
         solve_lp(lp(1, "sideways", [1], [0], [1], []))
+
+
+def test_nan_bound_rejected():
+    for lo, hi in ((NAN, 1.0), (0.0, NAN)):
+        with pytest.raises(LpError):
+            solve_lp(lp(1, "maximize", [1], [lo], [hi], []))
+    with pytest.raises(LpError):  # the LP text "nan <= x <= 1.0"
+        solve_lp(parse_lp("Maximize\n obj: 1.0 x\nSubject To\nBounds\n nan <= x <= 1.0\nEnd\n"))
+    assert solve_lp(lp(1, "maximize", [-1], [-INF], [INF], [])).status == "unbounded"
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_objective_rejected(value):
+    with pytest.raises(LpError):
+        solve_lp(lp(1, "maximize", [value], [0], [1], []))
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_non_finite_coefficient_or_rhs_rejected(value):
+    with pytest.raises(LpError):
+        solve_lp(lp(1, "maximize", [1], [0], [INF], [Constraint({0: value}, LE, 1.0)]))
+    with pytest.raises(LpError):
+        solve_lp(lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, value)]))
 
 
 def test_check_feasible_boundary_and_violation():
