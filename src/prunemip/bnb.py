@@ -11,8 +11,9 @@ parent's tableau columns and its one read of the constraint dicts (lp
 module docstring), since a child differs from its parent only in bounds.
 Branching fixes the model's most fractional binary (ties to the smallest
 column) in a copy of the parent's bounds; fixing a ReLU indicator z also
-pins one split column (z=1 pins vm to 0, z=0 pins vp to 0) instead of adding
-rows, so LP size stays constant down the tree. At every feasible node of a
+pins one split column (z=1 pins vm to 0, z=0 pins vp to 0; the columns come
+from the encoder's per-layer arrays, model.relu) instead of adding rows, so
+LP size stays constant down the tree. At every feasible node of a
 model that carries its network, the forward pass from the LP point's inputs
 gives a primal candidate. A node is pruned once its bound exceeds the
 incumbent by no more than ABS_GAP; the time limit is the only setting. A
@@ -74,8 +75,8 @@ def solve(model, cfg, trace_log=None, started=None):
     if model.objective_sense != "maximize":
         raise ValueError(f"solve maximizes; the model's sense is {model.objective_sense!r}")
     z_cols = np.flatnonzero(model.is_binary)
-    # from the encoder's model.relu: a split neuron's z pins vp at 0 (z=0) or
-    # vm at 0 (z=1); any other binary is pinned by its rows alone
+    # a split neuron's z pins (vp, vm)[z] at 0; any other binary is pinned
+    # by its rows alone
     pins = {z: (vp, vm) for vps, vms, zs in model.relu
             for vp, vm, z in zip(vps.tolist(), vms.tolist(), zs.tolist()) if z >= 0}
 
