@@ -92,7 +92,7 @@ def cmd_train(args):
     if reg is not None:
         meta["spr"] = {"lambda": reg.lam, "alpha": reg.alpha, "m": reg.m}
     save_model(net, args.out, training_meta=meta)
-    Path(str(args.out) + ".log.json").write_text(json.dumps(history, indent=1) + "\n")
+    Path(str(args.out) + ".log.json").write_text(strict_json(history, indent=1) + "\n")
     _write_manifest(args.out, args)
     print(f"trained {format_arch(widths)} -> {args.out} "
           f"(final accuracy {meta['final_accuracy']:.4f})")

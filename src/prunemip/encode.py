@@ -417,7 +417,7 @@ def parse_lp(text):
     objective = {}
     sense = None
     section = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -436,34 +436,37 @@ def parse_lp(text):
             continue
         if low == "end":
             break
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective = _parse_terms(body.split(), _get_var)
-        elif section == "constraints":
-            body = line.split(":", 1)[1] if ":" in line else line
-            tokens = body.split()
-            rel_pos = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
-            coeffs = _parse_terms(tokens[:rel_pos], _get_var)
-            constraints.append(Constraint(coeffs, tokens[rel_pos], float(tokens[rel_pos + 1])))
-        elif section == "bounds":
-            tokens = line.split()
-            if tokens[-1] == "free":
-                j = _get_var(tokens[0])
-                lower[j], upper[j] = -math.inf, math.inf
-            elif len(tokens) == 5:  # lo <= name <= hi
-                j = _get_var(tokens[2])
-                lower[j], upper[j] = float(tokens[0]), float(tokens[4])
-            elif tokens[1] == "<=":
-                j = _get_var(tokens[0])
-                lower[j], upper[j] = -math.inf, float(tokens[2])
-            else:
-                j = _get_var(tokens[0])
-                lower[j], upper[j] = float(tokens[2]), math.inf
-        elif section == "binaries":
-            for name in line.split():
-                j = _get_var(name)
-                binary[j] = True
-                lower[j], upper[j] = 0.0, 1.0
+        try:
+            if section == "objective":
+                body = line.split(":", 1)[1] if ":" in line else line
+                objective = _parse_terms(body.split(), _get_var)
+            elif section == "constraints":
+                body = line.split(":", 1)[1] if ":" in line else line
+                tokens = body.split()
+                rel_pos = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
+                coeffs = _parse_terms(tokens[:rel_pos], _get_var)
+                constraints.append(Constraint(coeffs, tokens[rel_pos], float(tokens[rel_pos + 1])))
+            elif section == "bounds":
+                tokens = line.split()
+                if tokens[-1] == "free":
+                    j = _get_var(tokens[0])
+                    lower[j], upper[j] = -math.inf, math.inf
+                elif len(tokens) == 5:  # lo <= name <= hi
+                    j = _get_var(tokens[2])
+                    lower[j], upper[j] = float(tokens[0]), float(tokens[4])
+                elif tokens[1] == "<=":
+                    j = _get_var(tokens[0])
+                    lower[j], upper[j] = -math.inf, float(tokens[2])
+                else:
+                    j = _get_var(tokens[0])
+                    lower[j], upper[j] = float(tokens[2]), math.inf
+            elif section == "binaries":
+                for name in line.split():
+                    j = _get_var(name)
+                    binary[j] = True
+                    lower[j], upper[j] = 0.0, 1.0
+        except (IndexError, StopIteration, ValueError):
+            raise ValueError(f"LP text line {lineno}: malformed {section} line {line!r}") from None
     if sense is None:
         raise ValueError("LP text has no objective section")
     c = np.zeros(len(names))

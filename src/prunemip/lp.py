@@ -1,6 +1,7 @@
-"""Dense bounded-variable simplex for small linear programs: a two-phase
-primal simplex from scratch, and a dual simplex that re-optimises from the
-final basis of an LP with the same constraints.
+"""Dense bounded-variable simplex for small linear programs. Every solve
+starts from a basis, the slack basis or the final basis of an LP with the
+same constraints, and runs one path: a bounded dual simplex with bound
+flipping, then the primal phase 2.
 
 Serves as the LP kernel for bound tightening, branch-and-bound node
 relaxations, and the activation-pattern enumeration oracle. Variables may
@@ -16,52 +17,61 @@ column-source index src lists each variable once in variable order, a free
 one twice in adjacent columns (the second negated), a fixed one (lo == up)
 not at all. So the columns are A0[:, src] * sign, the right-hand side
 rhs - A0 @ offset, and the primal offset plus a scatter-add of sign * x'
-over src.
+over src. Every row then gets a slack column: +1 or -1 with no upper bound
+on an inequality, +1 with upper bound 0 (width 0) on an equality. So the
+slack columns always form a basis.
 
 The tableau has one row per constraint: bounds never become rows. A
 nonbasic column sits at 0 or at its upper bound u. A column at u is
 complemented (x -> u - x), which negates it and moves u * column into the
-right-hand side, so every nonbasic column reads 0 in the tableau. The ratio
-test stops where a basic variable reaches either of its bounds or where the
-entering column reaches its own; the last case is a bound flip, an
-iteration without a pivot. Before phase 1 each boxed column starts at the
-bound its phase-2 cost favours.
+right-hand side, so every nonbasic column reads 0 in the tableau. Neither
+simplex prices a column of width 0, which cannot move.
+
+A solve takes six steps. (1) One dense solve of the basis against [A | b]
+rebuilds the tableau. (2) Every boxed nonbasic column whose reduced cost has
+the wrong sign is complemented; (3) an unboxed one gets its reduced cost
+set to 0 (cost shifting), so the tableau is dual feasible. (4) The bounded
+dual simplex lets the most infeasible basic variable (below 0 or above its
+upper bound) leave; after _bland_after(lp) iterations, the infeasible one
+of smallest column. Its ratio test passes the breakpoints of boxed columns
+in ratio order while the leaving row stays infeasible with them at their
+other bound, complements every passed column at once, and enters at the
+first breakpoint it cannot pass, the largest |alpha| among tied ratios. A
+row that stays infeasible with every breakpoint passed proves the LP
+infeasible. A variable that leaves above its upper bound is complemented.
+(5) If a cost was shifted, the true costs are priced again, and (6) the
+primal phase 2 finishes; its ratio test stops where a basic variable
+reaches either of its bounds or where the entering column reaches its own,
+the last case a bound flip, an iteration without a pivot.
 
 A solve ends with a status: "optimal", "infeasible", "unbounded", or
-"iteration-limit" once a primal simplex phase passes _MAX_ITER iterations
-(pivots and bound flips alike). It raises LpError only for malformed input.
+"iteration-limit" once the dual or the primal simplex passes _MAX_ITER
+iterations. A primal iteration is a pivot or a bound flip, a dual one a
+pivot with the flips of its ratio test. It raises LpError only for
+malformed input.
 
 Warm start. An optimal LpSolution carries its final tableau state: the
-read constraints with the columns (src, sign), the basis and the flip set.
-solve_lp(lp, warm=state) takes that state only for the constraint list it
-was read from or an equal one, and raises LpError for any other. It keeps
-those columns, so a variable fixed since (lo == up) stays a column with
-upper bound 0, and re-optimises in four steps. One dense solve of the basis
-against [A | b] rebuilds the tableau. Every boxed nonbasic column whose
-reduced cost has the wrong sign is complemented; neither simplex prices a
-column of width 0, which cannot move. A bounded dual simplex lets the most
-infeasible basic variable (below 0 or above its upper bound) leave, enters
-the ratio-test minimum over the nonbasic columns that can move (ties to the
-smallest column) and complements a variable that leaves above its upper
-bound. The primal phase 2 then cleans up. A leaving row with no column to enter
-proves the LP infeasible. A singular basis, a dual infeasible column with
-no upper bound, bounds that the columns cannot carry, or the dual's
-iteration cap sends the LP to the cold solve instead. So does a state
-without a basis: a solve that dropped a redundant row after phase 1 keeps
-none, because its tableau rows are combinations of the constraints and the
-surviving ones need not be independent constraints.
+read constraints with the columns (src, sign and the rows whose slack is
+kept), the basis and the flip set. A width-0 slack out of the basis never
+moves again, so the state drops it; a redundant equality's slack stays
+basic at 0. solve_lp(lp, warm=state) takes that state only for the
+constraint list it was read from or an equal one, and raises LpError for
+any other. It keeps those columns, so a variable fixed since (lo == up)
+stays a column with upper bound 0. Where the columns cannot carry lp's
+bounds, or the basis is singular, the solve restarts from the slack basis
+on columns read from lp's bounds.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
-# Dantzig pricing until this many iterations, then Bland's rule (terminating);
-# also the dual simplex's iteration cap.
+# times (variables + rows): Dantzig pricing until this many iterations, then
+# Bland's rule (smallest index) in each simplex
 _BLAND_FACTOR = 5
 _MAX_ITER = 200_000
 
@@ -95,7 +105,8 @@ class LinearProgram:
 @dataclass(frozen=True)
 class Columns:
     """The constraints as read (the list, A0, rhs, slack sign per row) and the
-    tableau's structural columns: column k is variable src[k] times sign[k]."""
+    tableau's columns: structural column k is variable src[k] times sign[k],
+    and after them one slack column for each row in slacks."""
 
     constraints: list
     A0: np.ndarray
@@ -103,6 +114,7 @@ class Columns:
     slack: np.ndarray
     src: np.ndarray
     sign: np.ndarray
+    slacks: np.ndarray
 
 
 @dataclass
@@ -111,11 +123,11 @@ class LpSolution:
     objective: float = None
     primal: np.ndarray = None
     pivots: int = 0
-    bound_flips: int = 0  # iterations that moved a nonbasic column to its other bound
-    warm: bool = False  # solved from the warm state given, without the cold fallback
+    bound_flips: int = 0  # moves of a nonbasic column to its other bound
+    warm: bool = False  # solved from the warm state given, not restarted from the slack basis
     # final tableau state of an optimal solve, to warm-start another
     columns: Columns = None
-    basis: np.ndarray = None  # basic column per constraint row; None after a dropped row
+    basis: np.ndarray = None  # basic column per constraint row
     flipped: np.ndarray = None  # columns held complemented
 
 
@@ -257,35 +269,65 @@ def _run_simplex(T, basis, ub, flipped, bland_after, tally):
         it += 1
 
 
-def _run_dual(T, basis, ub, flipped, max_iter, tally):
+def _run_dual(T, basis, ub, flipped, bland_after, tally):
     """Bounded dual simplex from a dual feasible tableau, in place. Returns
-    'optimal' once the basis is primal feasible, 'infeasible', or None after
-    max_iter pivots."""
-    for _ in range(max_iter):
+    'optimal' once the basis is primal feasible, 'infeasible' or
+    'iteration-limit'.
+
+    An iteration is one pivot plus the bound flips of its ratio test, which
+    passes every breakpoint that leaves the leaving row infeasible.
+    """
+    movable = ub > 0.0  # a column of width 0 cannot move
+    it = 0
+    while True:
         x = T[1:, -1]
         excess = np.maximum(-x, x - ub[basis])
         if excess.max(initial=0.0) <= FEAS_TOL:
             return "optimal"
-        r = int(np.argmax(excess))
+        if it > _MAX_ITER:
+            return "iteration-limit"
+        if it < bland_after:
+            r = int(np.argmax(excess))
+        else:
+            rows = np.flatnonzero(excess > FEAS_TOL)
+            r = int(rows[np.argmin(basis[rows])])
         high = bool(x[r] > ub[basis[r]])  # leaves at its upper bound
         alpha = T[r + 1, :-1] if high else -T[r + 1, :-1]
-        can = (alpha > PIVOT_TOL) & (ub > 0.0)  # columns that move the leaving one
+        can = (alpha > PIVOT_TOL) & movable  # columns that move the leaving one
         can[basis] = False
         cand = np.flatnonzero(can)
         if cand.size == 0:
             return "infeasible"
         ratios = np.maximum(T[0, cand], 0.0) / alpha[cand]
-        j = int(cand[np.flatnonzero(ratios <= ratios.min() + 1e-12)[0]])
+        tied = cand[ratios <= ratios.min() + 1e-12]
+        j = int(tied[np.argmax(alpha[tied])])
+        passed = cand[:0]
+        if excess[r] - ub[j] * alpha[j] > FEAS_TOL:  # j can be passed: walk the breakpoints
+            order = np.lexsort((cand, ratios))
+            slope = excess[r] - np.cumsum(ub[cand[order]] * alpha[cand[order]])
+            k = int(np.count_nonzero(slope > FEAS_TOL))  # the slope only falls
+            if k == cand.size:  # every bound passed and the row is still infeasible
+                return "infeasible"
+            passed = cand[order[:k]]
+            rest = order[k:]
+            last = cand[rest[ratios[rest] <= ratios[rest[0]] + 1e-12]]
+            j = int(last[np.argmax(alpha[last])])
+        if passed.size:
+            T[:, -1] -= T[:, passed] @ ub[passed]
+            T[:, passed] *= -1.0
+            flipped[passed] = ~flipped[passed]
         leaving = basis[r]
         _pivot(T, basis, r + 1, j)
         tally["pivots"] += 1
+        tally["flips"] += passed.size
         if high:
             _flip(T, ub, flipped, leaving)
-    return None
+        it += 1
 
 
 def _cold_columns(lp, lo, up, read):
-    """Columns from the bounds: the layout of the module docstring."""
+    """Columns from the bounds (the layout of the module docstring) and a
+    slack for every row."""
     fixed = lo == up
     shifted = ~fixed & np.isfinite(lo)
     mirrored = ~fixed & ~shifted & np.isfinite(up)
@@ -293,19 +335,18 @@ def _cold_columns(lp, lo, up, read):
     src = np.repeat(np.arange(lo.size), np.where(fixed, 0, np.where(free, 2, 1)))
     sign = np.where(mirrored, -1.0, 1.0)[src]
     sign[1:][src[1:] == src[:-1]] = -1.0  # the second column of a free variable
-    return Columns(lp.constraints, *read, src, sign)
+    return Columns(lp.constraints, *read, src, sign, np.arange(read[1].size))
 
 
 def _standard_form(lp, columns):
-    """(A, b, offset, ub, c2): lp on the given columns plus one slack per
-    inequality row, with the column upper bounds and the phase-2 costs in the
-    minimization sense. None when the bounds do not fit the columns: a
-    variable without a column must be fixed, a single column needs a finite
-    offset, a column pair a free variable."""
+    """(A, b, offset, ub, c2): lp on the given columns plus their slacks,
+    with the column upper bounds and the phase-2 costs in the minimization
+    sense. None when the bounds do not fit the columns: a variable without a
+    column must be fixed, a single column needs a finite offset, a column
+    pair a free variable."""
     lo = np.asarray(lp.lower, dtype=float)
     up = np.asarray(lp.upper, dtype=float)
-    A0, rhs, slack, src, sign = (columns.A0, columns.rhs, columns.slack, columns.src,
-                                 columns.sign)
+    A0, rhs, src, sign = columns.A0, columns.rhs, columns.src, columns.sign
     count = np.bincount(src, minlength=lo.size)
     mirrored = np.zeros(lo.size, dtype=bool)
     mirrored[src[sign < 0.0]] = True
@@ -316,28 +357,28 @@ def _standard_form(lp, columns):
     if not fits.all():
         return None
     ncols = src.size
-    ineq = np.flatnonzero(slack)
-    nslack = ineq.size
-    A = np.zeros((rhs.size, ncols + nslack))
+    rows = columns.slacks
+    slack = columns.slack[rows]
+    A = np.zeros((rhs.size, ncols + rows.size))
     A[:, :ncols] = A0[:, src] * sign
-    A[ineq, ncols + np.arange(nslack)] = slack[ineq]
+    A[rows, ncols + np.arange(rows.size)] = np.where(slack == 0.0, 1.0, slack)
     b = rhs - A0 @ offset
-    ub = np.concatenate([up[src] - lo[src], np.full(nslack, math.inf)])
+    ub = np.concatenate([up[src] - lo[src], np.where(slack == 0.0, 0.0, math.inf)])
     sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
     c2 = np.concatenate([sgn * sign * np.asarray(lp.objective, dtype=float)[src],
-                         np.zeros(nslack)])
+                         np.zeros(rows.size)])
     return A, b, offset, ub, c2
 
 
 def solve_lp(lp, warm=None):
     """Optimize lp. Deterministic.
 
-    Cold (warm=None): the two-phase bounded-variable primal simplex. With
-    warm, an optimal LpSolution of an LP with the same constraints (the
-    same list, or an equal one), it re-optimises from warm's final basis by
-    the dual simplex and falls back to the cold solve where that basis does
-    not serve (module docstring). A solve that ends without an optimum or a
-    proof of infeasibility has status "unbounded" or "iteration-limit".
+    Cold (warm=None), the solve starts from the slack basis. With warm, an
+    optimal LpSolution of an LP with the same constraints (the same list, or
+    an equal one), it starts from warm's final basis, and restarts from the
+    slack basis where that basis does not serve (module docstring). A solve
+    that ends without an optimum or a proof of infeasibility has status
+    "unbounded" or "iteration-limit".
     """
     if warm is None:
         read = _read(lp)
@@ -354,129 +395,51 @@ def solve_lp(lp, warm=None):
     if np.any(lo > up):
         return LpSolution("infeasible", warm=warm is not None)
     if warm is not None:
-        sol = _solve_warm(lp, warm)
+        sol = _solve(lp, warm.columns, warm.basis.copy(), warm.flipped.copy(), warm=True)
         if sol is not None:
             return sol
-    return _solve_cold(lp, _cold_columns(lp, lo, up, read))
-
-
-def _solve_cold(lp, columns):
-    A, b, offset, ub, c2 = _standard_form(lp, columns)
-    m = b.size
+    columns = _cold_columns(lp, lo, up, read)
     ncols = columns.src.size
-    ineq = np.flatnonzero(columns.slack)
-    slack_cols = ncols + np.arange(ineq.size)
-
-    # Crash start: a boxed column whose phase-2 cost favours its upper bound
-    # starts there.
-    flipped = np.isfinite(ub) & (c2 < 0.0)
-    b -= A[:, flipped] @ ub[flipped]
-    A[:, flipped] *= -1.0
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] = -b[neg]
-
-    # Initial basis: row's own slack when it survives the sign flip with a +1
-    # coefficient; otherwise an artificial.
-    own = np.zeros(m, dtype=bool)
-    own[ineq] = A[ineq, slack_cols] > 0
-    art_rows = np.flatnonzero(~own)
-    nart = art_rows.size
-    nreal = A.shape[1]
-    basis = np.empty(m, dtype=int)
-    basis[ineq] = slack_cols
-    basis[art_rows] = nreal + np.arange(nart)
-    # artificials are unbounded above, so they are never flipped
-    ub = np.concatenate([ub, np.full(nart, math.inf)])
-    flipped = np.concatenate([flipped, np.zeros(nart, dtype=bool)])
-    T = np.zeros((m + 1, nreal + nart + 1))
-    T[1:, :nreal] = A
-    T[1:, -1] = b
-    T[art_rows + 1, nreal + np.arange(nart)] = 1.0
-    tally = Counter()
-    dropped = False
-
-    if nart:
-        # Phase 1: minimize the sum of artificials.
-        for i in art_rows:
-            T[0] -= T[i + 1]
-        T[0, nreal:-1] = 0.0  # reduced cost of basic artificials
-        status = _run_simplex(T, basis, ub, flipped, _bland_after(lp), tally)
-        if status == "optimal" and T[1:, -1][basis >= nreal].sum() > FEAS_TOL:
-            status = "infeasible"  # the artificials cannot all reach 0
-        if status != "optimal":  # bounded below by 0, phase 1 is never unbounded
-            return LpSolution(status, pivots=tally["pivots"], bound_flips=tally["flips"])
-        # Drive remaining artificials out of the basis; drop redundant rows.
-        keep = np.ones(m + 1, dtype=bool)
-        for r in range(1, m + 1):
-            if basis[r - 1] >= nreal:
-                piv_cols = np.flatnonzero(np.abs(T[r, :nreal]) > PIVOT_TOL)
-                if piv_cols.size:
-                    _pivot(T, basis, r, int(piv_cols[0]))
-                    tally["pivots"] += 1
-                else:
-                    keep[r] = False
-        T = T[keep]
-        # Rebuild without artificial columns.
-        T = np.hstack([T[:, :nreal], T[:, -1:]])
-        basis = basis[keep[1:]]
-        ub, flipped = ub[:nreal], flipped[:nreal]
-        dropped = not keep.all()
-
-    # Phase 2, with the costs of complemented columns negated.
-    _price(T, basis, np.where(flipped, -c2, c2))
-    sol = _phase2(lp, columns, T, basis, ub, flipped, offset, tally, warm=False)
-    if dropped:  # no warm start: the surviving rows need not be independent constraints
-        sol.basis = None
-    return sol
+    return _solve(lp, columns, ncols + columns.slacks,
+                  np.zeros(ncols + columns.slacks.size, dtype=bool), warm=False)
 
 
-def _solve_warm(lp, warm):
-    """Re-optimise lp from warm's final basis; None where the cold solve must
-    take over."""
-    columns = warm.columns
-    form = None if warm.basis is None else _standard_form(lp, columns)
+def _solve(lp, columns, basis, flipped, warm):
+    """Optimize lp from the given basis and flip set; None where the columns
+    cannot carry lp's bounds or the basis is singular."""
+    form = _standard_form(lp, columns)
     if form is None:
         return None
     A, b, offset, ub, c2 = form
-    flipped = warm.flipped.copy()
     if not np.isfinite(ub[flipped]).all():
         return None
     b -= A[:, flipped] @ ub[flipped]
     A[:, flipped] *= -1.0
-    basis = warm.basis.copy()
     rest = np.ones(A.shape[1] + 1, dtype=bool)
     rest[basis] = False
     T = np.zeros((basis.size + 1, A.shape[1] + 1))
     try:
         T[1:, rest] = np.linalg.solve(A[:, basis], np.column_stack([A, b])[:, rest])
-    except np.linalg.LinAlgError:  # a singular basis
+    except np.linalg.LinAlgError:
         return None
     T[1:, basis] = np.eye(basis.size)
     _price(T, basis, np.where(flipped, -c2, c2))
+    # Make the tableau dual feasible: a boxed column of the wrong sign moves
+    # to its other bound, an unboxed one is priced at 0 until the dual ends.
     wrong = (T[0, :-1] < -PIVOT_TOL) & (ub > 0.0)
     wrong[basis] = False
-    if not np.isfinite(ub[wrong]).all():
-        return None
+    shifted = wrong & np.isposinf(ub)
+    wrong &= ~shifted
     for j in np.flatnonzero(wrong):
         _flip(T, ub, flipped, j)
+    T[0, :-1][shifted] = 0.0
     tally = Counter(flips=int(wrong.sum()))
-    status = _run_dual(T, basis, ub, flipped, _bland_after(lp), tally)
-    if status is None:
-        return None
-    if status == "infeasible":
-        return LpSolution("infeasible", pivots=tally["pivots"], bound_flips=tally["flips"],
-                          warm=True)
-    return _phase2(lp, columns, T, basis, ub, flipped, offset, tally, warm=True)
-
-
-def _bland_after(lp):
-    return _BLAND_FACTOR * (lp.num_vars + len(lp.constraints))
-
-
-def _phase2(lp, columns, T, basis, ub, flipped, offset, tally, warm):
-    """Primal phase 2 from the priced tableau, and the solution it reaches."""
-    status = _run_simplex(T, basis, ub, flipped, _bland_after(lp), tally)
+    bland_after = _bland_after(lp)
+    status = _run_dual(T, basis, ub, flipped, bland_after, tally)
+    if status == "optimal":
+        if shifted.any():
+            _price(T, basis, np.where(flipped, -c2, c2))
+        status = _run_simplex(T, basis, ub, flipped, bland_after, tally)
     counts = {"pivots": tally["pivots"], "bound_flips": tally["flips"], "warm": warm}
     if status != "optimal":
         return LpSolution(status, **counts)
@@ -484,7 +447,21 @@ def _phase2(lp, columns, T, basis, ub, flipped, offset, tally, warm):
     vals[basis] = T[1:, -1]
     vals[flipped] = ub[flipped] - vals[flipped]
     x = offset.copy()
-    np.add.at(x, columns.src, columns.sign * vals[:columns.src.size])
+    ncols = columns.src.size
+    np.add.at(x, columns.src, columns.sign * vals[:ncols])
     obj = float(np.asarray(lp.objective, dtype=float) @ x)
+    # A width-0 slack out of the basis never moves again: the state drops it.
+    drop = np.zeros(ub.size, dtype=bool)
+    drop[ncols:] = ub[ncols:] == 0.0
+    drop[basis] = False
+    if drop.any():
+        keep = ~drop
+        basis = (np.cumsum(keep) - 1)[basis]
+        flipped = flipped[keep]
+        columns = replace(columns, slacks=columns.slacks[keep[ncols:]])
     return LpSolution("optimal", obj, x, columns=columns, basis=basis, flipped=flipped,
                       **counts)
+
+
+def _bland_after(lp):
+    return _BLAND_FACTOR * (lp.num_vars + len(lp.constraints))

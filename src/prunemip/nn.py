@@ -16,6 +16,12 @@ from .spr import spr_penalty, spr_step
 MODEL_FORMAT_VERSION = 1
 
 
+def _check_finite(layers):
+    for i, (W, b) in enumerate(layers):
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {i}: non-finite parameters")
+
+
 @dataclass
 class Mlp:
     """Layers as (W, b) pairs; W is (out, in), b is (out,)."""
@@ -30,8 +36,7 @@ class Mlp:
                 raise ValueError(f"layer {i}: inconsistent W/b shapes")
             if i > 0 and W.shape[1] != self.layers[i - 1][0].shape[0]:
                 raise ValueError(f"layer {i}: input dim does not chain")
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i}: non-finite parameters")
+        _check_finite(self.layers)
 
     @property
     def input_dim(self):
@@ -211,6 +216,10 @@ def sgd_train(mlp, data, cfg):
 
 
 def save_model(mlp, path, training_meta=None):
+    """Write mlp to path; ValueError, before the file is opened, if a
+    parameter is not finite (training diverged), since load_model would
+    reject the file."""
+    _check_finite(mlp.layers)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "arch": mlp.arch,

@@ -42,7 +42,7 @@ def threshold_prune(mlp, tau):
     Removal deletes row j of (W, b) and the matching column of the next
     layer's W. Output neurons and input features are never removed.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN fails too
         raise ValueError("tau must be >= 0")
     if len(mlp.layers) < 2:
         raise ValueError("network has no hidden layer")
@@ -105,6 +105,10 @@ def prune_pipeline(
     """
     if not grid:
         raise ValueError("empty grid")
+    if not tau >= 0:  # NaN fails too
+        raise ValueError("tau must be >= 0")
+    if not acc_floor >= 0:
+        raise ValueError("acc_floor must be >= 0")
     init = init_mlp(data.inputs.shape[1], hidden_widths, data.num_classes, base_cfg.seed)
     plain_cfg = replace(base_cfg, regularizer=None)
     baseline, _ = sgd_train(init, data, plain_cfg)

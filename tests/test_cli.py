@@ -53,6 +53,18 @@ def test_train_zero_epochs(tmp_path, capsys):
     assert f"final accuracy {meta['final_accuracy']:.4f}" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the scenario
+def test_train_diverged_writes_no_model(tmp_path, capsys):
+    """A learning rate that drives the weights to NaN is rejected before any
+    file is written: load_model would refuse the model file."""
+    out = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--arch", "1x4", "--epochs", "30", "--lr", "1e9", "--out", str(out))
+    assert exc.value.code == EXIT_USAGE
+    assert "non-finite parameters" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_bad_arch_exits(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("train", "--arch", "0x10", "--out", str(tmp_path / "nope.json"))
@@ -240,6 +252,20 @@ def test_prune_over_pruned_grid_exits_usage(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.splitlines() == ["prunemip: error: every grid point over-pruned a layer "
                                 "at tau=0.001; lower tau or lambda"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tau", "nan"], ["--tau", "-1"],
+                                   ["--acc-floor", "nan"], ["--acc-floor", "-1"]])
+def test_prune_bad_threshold_exits_before_training(flags, monkeypatch, tmp_path):
+    def no_training(*args, **kwargs):
+        raise AssertionError("prune trained before rejecting its flags")
+
+    monkeypatch.setattr(sys.modules["prunemip.prune"], "sgd_train", no_training)
+    out = tmp_path / "pruned.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("prune", "--arch", "1x4", "--out", str(out), *flags)
+    assert exc.value.code == EXIT_USAGE
     assert not out.exists()
 
 

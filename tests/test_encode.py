@@ -1,6 +1,7 @@
 """Encoder tests: interval bounds, counting, trace soundness, LP export."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -293,3 +294,17 @@ def test_lp_round_trip_byte_identical():
 def test_parse_lp_requires_objective():
     with pytest.raises(ValueError):
         parse_lp("Bounds\n x free\nEnd\n")
+
+
+@pytest.mark.parametrize("line", ["c0: 1.0 y 3.0",  # no relation
+                                  "c0: 1.0 y + 2.0 >= 0.0",  # a coefficient without a variable
+                                  "c0: 1.0 y >="])  # a relation without a right-hand side
+def test_parse_lp_malformed_constraint_names_the_line(line):
+    with pytest.raises(ValueError, match="line 4: .*" + re.escape(repr(line))):
+        parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\n {line}\nEnd\n")
+
+
+@pytest.mark.parametrize("line", ["y <=", "y >=", "y"])
+def test_parse_lp_bound_without_value_names_the_line(line):
+    with pytest.raises(ValueError, match="line 4: .*" + re.escape(repr(line))):
+        parse_lp(f"Maximize\n obj: 1.0 y\nBounds\n {line}\nEnd\n")

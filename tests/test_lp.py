@@ -246,16 +246,23 @@ def test_warm_start_without_constraint_rows():
     assert sol.objective == 0.5
 
 
-def test_no_warm_start_after_a_dropped_row():
-    """x + y = 1 makes 2x + 2y + f = 2 redundant while f is fixed at 0, so
-    phase 1 drops a row and leaves no basis to warm-start from. With f fixed
-    at 1 the rows contradict each other, which only all the rows show."""
+def test_redundant_equality_keeps_a_basis():
+    """x + y = 1 makes 2x + 2y + f = 2 redundant while f is fixed at 0: its
+    width-0 slack stays basic at 0, so the optimum still carries a basis.
+    With f fixed at 1 the rows contradict each other, which the warm solve
+    proves from that basis, as the cold solve does."""
     cons = [Constraint({0: 1.0, 1: 1.0}, EQ, 1.0),
             Constraint({0: 2.0, 1: 2.0, 2: 1.0}, EQ, 2.0)]
     state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], cons))
-    assert state.status == "optimal" and state.basis is None
-    sol = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons), warm=state)
-    assert sol.status == "infeasible" and not sol.warm
+    assert state.status == "optimal" and state.objective == pytest.approx(1.0, abs=1e-9)
+    assert state.basis.size == 2
+    ncols = state.columns.src.size
+    row = int(np.flatnonzero(state.basis >= ncols)[-1])
+    assert state.columns.slacks[state.basis[row] - ncols] == 1  # the second row's slack
+    child = lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons)
+    sol = solve_lp(child, warm=state)
+    assert sol.status == "infeasible" and sol.warm
+    assert solve_lp(child).status == "infeasible"
 
 
 def test_warm_state_from_other_constraints_rejected():
