@@ -197,10 +197,11 @@ def _pivot(T, basis, r, j):
 
 
 def _flip(T, ub, flipped, j):
-    """Complement nonbasic column j, moving it to its other bound."""
-    T[:, -1] -= ub[j] * T[:, j]
+    """Complement nonbasic column j (an index or an index array), moving it
+    to its other bound."""
+    T[:, -1] -= np.dot(T[:, j], ub[j])
     T[:, j] *= -1.0
-    flipped[j] = not flipped[j]
+    flipped[j] = ~flipped[j]
 
 
 def _price(T, basis, cost):
@@ -301,25 +302,20 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
         ratios = np.maximum(T[0, cand], 0.0) / alpha[cand]
         tied = cand[ratios <= ratios.min() + 1e-12]
         j = int(tied[np.argmax(alpha[tied])])
-        passed = cand[:0]
         if excess[r] - ub[j] * alpha[j] > FEAS_TOL:  # j can be passed: walk the breakpoints
             order = np.lexsort((cand, ratios))
             slope = excess[r] - np.cumsum(ub[cand[order]] * alpha[cand[order]])
             k = int(np.count_nonzero(slope > FEAS_TOL))  # the slope only falls
             if k == cand.size:  # every bound passed and the row is still infeasible
                 return "infeasible"
-            passed = cand[order[:k]]
+            _flip(T, ub, flipped, cand[order[:k]])
+            tally["flips"] += k
             rest = order[k:]
             last = cand[rest[ratios[rest] <= ratios[rest[0]] + 1e-12]]
             j = int(last[np.argmax(alpha[last])])
-        if passed.size:
-            T[:, -1] -= T[:, passed] @ ub[passed]
-            T[:, passed] *= -1.0
-            flipped[passed] = ~flipped[passed]
         leaving = basis[r]
         _pivot(T, basis, r + 1, j)
         tally["pivots"] += 1
-        tally["flips"] += passed.size
         if high:
             _flip(T, ub, flipped, leaving)
         it += 1
@@ -430,8 +426,7 @@ def _solve(lp, columns, basis, flipped, warm):
     wrong[basis] = False
     shifted = wrong & np.isposinf(ub)
     wrong &= ~shifted
-    for j in np.flatnonzero(wrong):
-        _flip(T, ub, flipped, j)
+    _flip(T, ub, flipped, np.flatnonzero(wrong))
     T[0, :-1][shifted] = 0.0
     tally = Counter(flips=int(wrong.sum()))
     bland_after = _bland_after(lp)
