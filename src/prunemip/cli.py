@@ -17,7 +17,7 @@ from .bnb import SolverConfig
 from .data import gen_synthetic, load_mnist
 from .encode import encode_adversarial, export_lp
 from .nn import TrainConfig, accuracy, forward, init_mlp, load_model, save_model, sgd_train
-from .prune import grid_log_csv, prune_pipeline
+from .prune import check_prune_args, grid_log_csv, prune_pipeline
 from .spr import SprConfig
 from .verify import InvalidInstanceError, build_instance, cross_check, strict_json, verify
 
@@ -185,6 +185,7 @@ def cmd_bench(args):
         raise ValueError("each delta must be >= 0, and finite unless --mnist clamps the box")
     grid = [SprConfig(float(lam), float(alpha), args.spr_m)
             for lam in args.grid_lambdas.split(",") for alpha in args.grid_alphas.split(",")]
+    check_prune_args(grid, args.tau, args.fine_tune_epochs)
     cfg = TrainConfig(10 if args.desk_scale else args.epochs, args.batch, args.lr, args.seed)
     solver = SolverConfig(time_limit_seconds=60.0 if args.desk_scale else args.time_limit)
     data = _load_data(args)

@@ -1,25 +1,25 @@
-"""Dense bounded-variable simplex for small linear programs. Every solve
-starts from a basis, the slack basis or the final basis of an LP with the
-same constraints, and runs one path: a bounded dual simplex with bound
-flipping, then the primal phase 2.
+"""Dense bounded-variable simplex for small linear programs in computational
+form. Every solve starts from a basis, the logicals' basis or the final basis
+of an LP with the same constraints, and runs one path: a bounded dual simplex
+with bound flipping, then the primal phase 2.
 
 Serves as the LP kernel for bound tightening, branch-and-bound node
 relaxations, and the activation-pattern enumeration oracle. Variables may
 carry finite or infinite bounds; infinities are real ``math.inf`` sentinels,
 never large surrogate constants.
 
-The constraint dicts are walked once per cold solve, into a dense matrix
-A0, the right-hand sides and a slack sign per row (+1 for <=, -1 for >=, 0
-for =); the rest is array operations. Each variable is x = offset + sign *
-x' with x' >= 0: offset lo and sign +1 when lo is finite (x' <= up - lo),
-offset up and sign -1 when only up is finite, offset 0 when free. The
-column-source index src lists each variable once in variable order, a free
-one twice in adjacent columns (the second negated), a fixed one (lo == up)
-not at all. So the columns are A0[:, src] * sign, the right-hand side
-rhs - A0 @ offset, and the primal offset plus a scatter-add of sign * x'
-over src. Every row then gets a slack column: +1 or -1 with no upper bound
-on an inequality, +1 with upper bound 0 (width 0) on an equality. So the
-slack columns always form a basis.
+The constraint dicts are walked once per cold solve into a dense matrix A0
+and the right-hand sides. Row i reads a_i x + s_i = rhs_i, its logical
+variable s_i in column n + i of A0 (n = num_vars), bounded by the relation:
+[0, inf) for <=, [0, 0] for =, (-inf, 0] for >=. All n + m variables then
+map alike, the rest being array operations: x = offset + sign * x' with
+x' >= 0, offset lo and sign +1 when lo is finite (x' <= up - lo, width 0
+when fixed), offset up and sign -1 when only up is, and a free x is the
+difference of two adjacent columns. The column-source index src lists each
+variable's columns in order. So the columns are A0[:, src] * sign, the
+right-hand side rhs - A0 @ offset, and the primal offset plus a scatter-add
+of sign * x' over src. A logical is never free, so its columns, the last m,
+form a basis.
 
 The tableau has one row per constraint: bounds never become rows. A
 nonbasic column sits at 0 or at its upper bound u. A column at u is
@@ -50,16 +50,13 @@ iterations. A primal iteration is a pivot or a bound flip, a dual one a
 pivot with the flips of its ratio test. It raises LpError only for
 malformed input.
 
-Warm start. An optimal LpSolution carries its final tableau state: the
-read constraints with the columns (src, sign and the rows whose slack is
-kept), the basis and the flip set. A width-0 slack out of the basis never
-moves again, so the state drops it; a redundant equality's slack stays
-basic at 0. solve_lp(lp, warm=state) takes that state only for the
-constraint list it was read from or an equal one, and raises LpError for
-any other. It keeps those columns, so a variable fixed since (lo == up)
-stays a column with upper bound 0. Where the columns cannot carry lp's
-bounds, or the basis is singular, the solve restarts from the slack basis
-on columns read from lp's bounds.
+Warm start. An optimal LpSolution carries its final tableau state: the read
+constraints, the columns (src, sign), the basis and the flip set. A width-0
+column out of the basis never moves again, so the state drops it, and its
+variable must stay fixed, at any value. solve_lp(lp, warm=state) takes an
+optimal state, and only for the constraint list it was read from or an
+equal one. Where its columns cannot carry lp's bounds, or its basis is
+singular, the solve restarts cold.
 """
 
 import math
@@ -76,13 +73,13 @@ _BLAND_FACTOR = 5
 _MAX_ITER = 200_000
 
 LE, EQ, GE = "<=", "=", ">="
-_SLACK_SIGN = {LE: 1.0, EQ: 0.0, GE: -1.0}
+_LOGICAL_BOUNDS = {LE: (0.0, math.inf), EQ: (0.0, 0.0), GE: (-math.inf, 0.0)}
 
 
 class LpError(ValueError):
     """Malformed LP input: a dimension mismatch, a bad relation, a NaN bound,
     a non-finite objective entry, coefficient or rhs, or a warm state from
-    other constraints."""
+    other constraints or from a solve without an optimum."""
 
 
 @dataclass(frozen=True)
@@ -104,17 +101,16 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Columns:
-    """The constraints as read (the list, A0, rhs, slack sign per row) and the
-    tableau's columns: structural column k is variable src[k] times sign[k],
-    and after them one slack column for each row in slacks."""
+    """The constraints as read (the list, A0 over the variables and then the
+    logicals, rhs, the logicals' lower and upper bounds as a 2 x m array) and
+    the tableau's columns: column k is variable src[k] times sign[k]."""
 
     constraints: list
     A0: np.ndarray
     rhs: np.ndarray
-    slack: np.ndarray
+    logical: np.ndarray
     src: np.ndarray
     sign: np.ndarray
-    slacks: np.ndarray
 
 
 @dataclass
@@ -124,7 +120,7 @@ class LpSolution:
     primal: np.ndarray = None
     pivots: int = 0
     bound_flips: int = 0  # moves of a nonbasic column to its other bound
-    warm: bool = False  # solved from the warm state given, not restarted from the slack basis
+    warm: bool = False  # solved from the warm state given, not restarted cold
     # final tableau state of an optimal solve, to warm-start another
     columns: Columns = None
     basis: np.ndarray = None  # basic column per constraint row
@@ -144,7 +140,8 @@ def _check(lp):
 
 
 def _read(lp):
-    """Check lp and read its constraints: (A0, rhs, slack sign per row).
+    """Check lp and read its constraints: (A0, rhs, logical bounds), A0 with
+    row i's logical in column num_vars + i.
 
     The one walk over the constraint dicts. Indices are range-checked before
     they index A0, where a negative one would silently wrap around.
@@ -152,13 +149,13 @@ def _read(lp):
     _check(lp)
     n = lp.num_vars
     m = len(lp.constraints)
-    rhs, slack = np.empty(m), np.empty(m)
+    rhs, logical = np.empty(m), np.empty((2, m))
     rows, cols, vals = [], [], []
     for i, con in enumerate(lp.constraints):
-        if con.relation not in _SLACK_SIGN:
+        if con.relation not in _LOGICAL_BOUNDS:
             raise LpError(f"constraint {i}: unknown relation {con.relation!r}")
         rhs[i] = con.rhs
-        slack[i] = _SLACK_SIGN[con.relation]
+        logical[:, i] = _LOGICAL_BOUNDS[con.relation]
         rows += [i] * len(con.coeffs)
         cols += con.coeffs
         vals += con.coeffs.values()
@@ -167,24 +164,25 @@ def _read(lp):
     if bad.size:
         raise LpError(f"constraint {rows[bad[0]]} references variable {cols[bad[0]]} "
                       f"outside 0..{n - 1}")
-    A0 = np.zeros((m, n))
+    A0 = np.zeros((m, n + m))
     A0[rows, cols] = vals
     bad = np.flatnonzero(~(np.isfinite(A0).all(axis=1) & np.isfinite(rhs)))
     if bad.size:
         raise LpError(f"constraint {bad[0]} has a non-finite coefficient or rhs")
-    return A0, rhs, slack
+    A0[:, n:] = np.eye(m)
+    return A0, rhs, logical
 
 
 def check_feasible(lp, point, tol=FEAS_TOL):
-    """True iff every bound and constraint holds within tol."""
-    A0, rhs, slack = _read(lp)
+    """True iff every bound and constraint holds within tol: the point and
+    its logicals (rhs minus each row's activity) lie within their bounds."""
+    A0, rhs, logical = _read(lp)
     x = np.asarray(point, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LpError(f"point has length {x.size}, expected {lp.num_vars}")
-    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
-        return False
-    excess = A0 @ x - rhs  # a <= row is violated above rhs, a >= row below
-    return not np.any(np.where(slack == 0.0, np.abs(excess), slack * excess) > tol)
+    lo, up = _bounds(lp, logical)
+    xs = np.concatenate([x, rhs - A0[:, :x.size] @ x])
+    return not (np.any(xs < lo - tol) or np.any(xs > up + tol))
 
 
 def _pivot(T, basis, r, j):
@@ -244,7 +242,7 @@ def _run_simplex(T, basis, ub, flipped, bland_after, tally):
         if it > _MAX_ITER:
             return "iteration-limit"
         costs = np.where(ub > 0.0, T[0, :-1], 0.0)  # a column of width 0 cannot move
-        if costs.size == 0:  # every variable was fixed and substituted out
+        if costs.size == 0:  # an LP without variables or rows
             return "optimal"
         if it >= bland_after:
             cand = np.flatnonzero(costs < -PIVOT_TOL)
@@ -321,28 +319,27 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
         it += 1
 
 
+def _bounds(lp, logical):
+    """Lower and upper bounds of the variables and then the logicals."""
+    return np.concatenate([np.array([lp.lower, lp.upper], dtype=float), logical], axis=1)
+
+
 def _cold_columns(lp, lo, up, read):
-    """Columns from the bounds (the layout of the module docstring) and a
-    slack for every row."""
-    fixed = lo == up
-    shifted = ~fixed & np.isfinite(lo)
-    mirrored = ~fixed & ~shifted & np.isfinite(up)
-    free = ~(fixed | shifted | mirrored)
-    src = np.repeat(np.arange(lo.size), np.where(fixed, 0, np.where(free, 2, 1)))
+    """Columns from the bounds, the layout of the module docstring."""
+    shifted = np.isfinite(lo)
+    mirrored = ~shifted & np.isfinite(up)
+    src = np.repeat(np.arange(lo.size), np.where(shifted | mirrored, 1, 2))
     sign = np.where(mirrored, -1.0, 1.0)[src]
     sign[1:][src[1:] == src[:-1]] = -1.0  # the second column of a free variable
-    return Columns(lp.constraints, *read, src, sign, np.arange(read[1].size))
+    return Columns(lp.constraints, *read, src, sign)
 
 
-def _standard_form(lp, columns):
-    """(A, b, offset, ub, c2): lp on the given columns plus their slacks,
-    with the column upper bounds and the phase-2 costs in the minimization
-    sense. None when the bounds do not fit the columns: a variable without a
-    column must be fixed, a single column needs a finite offset, a column
-    pair a free variable."""
-    lo = np.asarray(lp.lower, dtype=float)
-    up = np.asarray(lp.upper, dtype=float)
-    A0, rhs, src, sign = columns.A0, columns.rhs, columns.src, columns.sign
+def _standard_form(lp, columns, lo, up):
+    """(A, b, offset, ub, c2): lp on the given columns, with the column upper
+    bounds and the phase-2 costs in the minimization sense. None when the
+    bounds do not fit the columns: a variable without a column must be fixed,
+    a single column needs a finite offset, a column pair a free variable."""
+    A0, src, sign = columns.A0, columns.src, columns.sign
     count = np.bincount(src, minlength=lo.size)
     mirrored = np.zeros(lo.size, dtype=bool)
     mirrored[src[sign < 0.0]] = True
@@ -352,58 +349,54 @@ def _standard_form(lp, columns):
                     np.where(count == 1, np.isfinite(offset), np.isneginf(lo) & np.isposinf(up)))
     if not fits.all():
         return None
-    ncols = src.size
-    rows = columns.slacks
-    slack = columns.slack[rows]
-    A = np.zeros((rhs.size, ncols + rows.size))
-    A[:, :ncols] = A0[:, src] * sign
-    A[rows, ncols + np.arange(rows.size)] = np.where(slack == 0.0, 1.0, slack)
-    b = rhs - A0 @ offset
-    ub = np.concatenate([up[src] - lo[src], np.where(slack == 0.0, 0.0, math.inf)])
+    n = lp.num_vars
+    b = columns.rhs - A0[:, :n] @ offset[:n]  # a logical's offset is its finite bound, 0
     sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
-    c2 = np.concatenate([sgn * sign * np.asarray(lp.objective, dtype=float)[src],
-                         np.zeros(rows.size)])
-    return A, b, offset, ub, c2
+    cost = np.zeros(lo.size)
+    cost[:n] = lp.objective
+    return A0[:, src] * sign, b, offset, up[src] - lo[src], sgn * sign * cost[src]
 
 
 def solve_lp(lp, warm=None):
     """Optimize lp. Deterministic.
 
-    Cold (warm=None), the solve starts from the slack basis. With warm, an
-    optimal LpSolution of an LP with the same constraints (the same list, or
-    an equal one), it starts from warm's final basis, and restarts from the
-    slack basis where that basis does not serve (module docstring). A solve
-    that ends without an optimum or a proof of infeasibility has status
-    "unbounded" or "iteration-limit".
+    Cold (warm=None), the solve starts from the logicals' basis. With warm,
+    an optimal LpSolution of an LP with the same constraints (the same list,
+    or an equal one), it starts from warm's final basis, and restarts from
+    the logicals' basis where that basis does not serve (module docstring).
+    A solve that ends without an optimum or a proof of infeasibility has
+    status "unbounded" or "iteration-limit".
     """
     if warm is None:
         read = _read(lp)
     else:
         _check(lp)
         cols = warm.columns
+        if cols is None:
+            raise LpError(f"the warm state is from a solve that ended {warm.status!r}")
         if lp.constraints is not cols.constraints and lp.constraints != cols.constraints:
             raise LpError("the warm state is from an LP with other constraints")
-        if cols.A0.shape[1] != lp.num_vars:
+        if cols.A0.shape[1] != lp.num_vars + cols.rhs.size:
             raise LpError("the warm state is from an LP of another shape")
-        read = cols.A0, cols.rhs, cols.slack
-    lo = np.asarray(lp.lower, dtype=float)
-    up = np.asarray(lp.upper, dtype=float)
-    if np.any(lo > up):
+        read = cols.A0, cols.rhs, cols.logical
+    lo, up = _bounds(lp, read[2])
+    if not np.all((lo <= up) & (lo < math.inf) & (up > -math.inf)):  # no real value fits
         return LpSolution("infeasible", warm=warm is not None)
     if warm is not None:
-        sol = _solve(lp, warm.columns, warm.basis.copy(), warm.flipped.copy(), warm=True)
+        sol = _solve(lp, warm.columns, lo, up, warm.basis.copy(), warm.flipped.copy(),
+                     warm=True)
         if sol is not None:
             return sol
     columns = _cold_columns(lp, lo, up, read)
     ncols = columns.src.size
-    return _solve(lp, columns, ncols + columns.slacks,
-                  np.zeros(ncols + columns.slacks.size, dtype=bool), warm=False)
+    return _solve(lp, columns, lo, up, np.arange(ncols - len(lp.constraints), ncols),
+                  np.zeros(ncols, dtype=bool), warm=False)
 
 
-def _solve(lp, columns, basis, flipped, warm):
+def _solve(lp, columns, lo, up, basis, flipped, warm):
     """Optimize lp from the given basis and flip set; None where the columns
     cannot carry lp's bounds or the basis is singular."""
-    form = _standard_form(lp, columns)
+    form = _standard_form(lp, columns, lo, up)
     if form is None:
         return None
     A, b, offset, ub, c2 = form
@@ -442,18 +435,17 @@ def _solve(lp, columns, basis, flipped, warm):
     vals[basis] = T[1:, -1]
     vals[flipped] = ub[flipped] - vals[flipped]
     x = offset.copy()
-    ncols = columns.src.size
-    np.add.at(x, columns.src, columns.sign * vals[:ncols])
+    np.add.at(x, columns.src, columns.sign * vals)
+    x = x[:lp.num_vars].copy()  # not a view: a branch-and-bound node keeps it
     obj = float(np.asarray(lp.objective, dtype=float) @ x)
-    # A width-0 slack out of the basis never moves again: the state drops it.
-    drop = np.zeros(ub.size, dtype=bool)
-    drop[ncols:] = ub[ncols:] == 0.0
+    # A width-0 column out of the basis never moves again: the state drops it.
+    drop = ub == 0.0
     drop[basis] = False
     if drop.any():
         keep = ~drop
         basis = (np.cumsum(keep) - 1)[basis]
         flipped = flipped[keep]
-        columns = replace(columns, slacks=columns.slacks[keep[ncols:]])
+        columns = replace(columns, src=columns.src[keep], sign=columns.sign[keep])
     return LpSolution("optimal", obj, x, columns=columns, basis=basis, flipped=flipped,
                       **counts)
 

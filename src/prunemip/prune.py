@@ -80,6 +80,18 @@ def fine_tune(mlp, data, epochs, cfg):
     return net
 
 
+def check_prune_args(grid, tau, fine_tune_epochs):
+    """Raise ValueError for a grid, threshold or fine-tuning length that
+    prune_pipeline cannot run with, so a caller can check them before it
+    trains anything."""
+    if not grid:
+        raise ValueError("empty grid")
+    if not tau >= 0:  # NaN fails too
+        raise ValueError("tau must be >= 0")
+    if not fine_tune_epochs >= 0:
+        raise ValueError("fine_tune_epochs must be >= 0")
+
+
 def prune_pipeline(
     hidden_widths,
     data,
@@ -103,10 +115,7 @@ def prune_pipeline(
     point plus a "baseline" entry; the report's baseline is the plain-SGD
     net the floor was measured on.
     """
-    if not grid:
-        raise ValueError("empty grid")
-    if not tau >= 0:  # NaN fails too
-        raise ValueError("tau must be >= 0")
+    check_prune_args(grid, tau, fine_tune_epochs)
     if not acc_floor >= 0:
         raise ValueError("acc_floor must be >= 0")
     init = init_mlp(data.inputs.shape[1], hidden_widths, data.num_classes, base_cfg.seed)

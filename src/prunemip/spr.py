@@ -26,15 +26,15 @@ class SprConfig:
 
     def __post_init__(self):
         _check_params(self.alpha, self.m)
-        if not self.lam >= 0:  # NaN fails too
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < math.inf:  # NaN fails too
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 def _check_params(alpha, m):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not m > 0:
-        raise ValueError(f"m must be > 0, got {m}")
+    if not 0 < m < math.inf:
+        raise ValueError(f"m must be finite and > 0, got {m}")
 
 
 def _case_a_slope(alpha):

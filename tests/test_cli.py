@@ -256,7 +256,8 @@ def test_prune_over_pruned_grid_exits_usage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--tau", "-1"],
-                                   ["--acc-floor", "nan"], ["--acc-floor", "-1"]])
+                                   ["--acc-floor", "nan"], ["--acc-floor", "-1"],
+                                   ["--fine-tune-epochs", "-1"]])
 def test_prune_bad_threshold_exits_before_training(flags, monkeypatch, tmp_path):
     def no_training(*args, **kwargs):
         raise AssertionError("prune trained before rejecting its flags")
@@ -316,7 +317,8 @@ def test_bench_desk_scale(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--deltas", "-1"], ["--deltas", "1,nan"],
-                                   ["--deltas", "inf"], ["--grid-alphas", "1.5"]])
+                                   ["--deltas", "inf"], ["--grid-alphas", "1.5"],
+                                   ["--tau", "nan"], ["--fine-tune-epochs", "-1"]])
 def test_bench_bad_argument_exits_before_training(flags, monkeypatch, tmp_path):
     def no_training(*args, **kwargs):
         raise AssertionError("bench trained before rejecting its flags")

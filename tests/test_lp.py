@@ -37,6 +37,8 @@ def test_single_active_bound():
 def test_empty_feasible_set():
     cons = [Constraint({0: 1.0}, LE, 1.0), Constraint({0: 1.0}, GE, 2.0)]
     assert solve_lp(lp(1, "maximize", [1], [-INF], [INF], cons)).status == "infeasible"
+    for bound in (INF, -INF):  # no real x has x >= inf, or x <= -inf
+        assert solve_lp(lp(1, "maximize", [1], [bound], [bound], cons[:1])).status == "infeasible"
 
 
 def test_separable_box_maximum():
@@ -248,7 +250,7 @@ def test_warm_start_without_constraint_rows():
 
 def test_redundant_equality_keeps_a_basis():
     """x + y = 1 makes 2x + 2y + f = 2 redundant while f is fixed at 0: its
-    width-0 slack stays basic at 0, so the optimum still carries a basis.
+    width-0 logical stays basic at 0, so the optimum still carries a basis.
     With f fixed at 1 the rows contradict each other, which the warm solve
     proves from that basis, as the cold solve does."""
     cons = [Constraint({0: 1.0, 1: 1.0}, EQ, 1.0),
@@ -256,9 +258,7 @@ def test_redundant_equality_keeps_a_basis():
     state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], cons))
     assert state.status == "optimal" and state.objective == pytest.approx(1.0, abs=1e-9)
     assert state.basis.size == 2
-    ncols = state.columns.src.size
-    row = int(np.flatnonzero(state.basis >= ncols)[-1])
-    assert state.columns.slacks[state.basis[row] - ncols] == 1  # the second row's slack
+    assert 3 + 1 in state.columns.src[state.basis]  # the second row's logical
     child = lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons)
     sol = solve_lp(child, warm=state)
     assert sol.status == "infeasible" and sol.warm
@@ -268,7 +268,8 @@ def test_redundant_equality_keeps_a_basis():
 def test_warm_state_from_other_constraints_rejected():
     """max x with x <= 2 and with x <= 7 have the same shape; the state of
     the first would give the second 2, not 7. An equal constraint list,
-    not only the same one, serves."""
+    not only the same one, serves. A solve without an optimum leaves no
+    state to start from."""
     a = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 2.0)])
     b = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 7.0)])
     state = solve_lp(a)
@@ -279,3 +280,10 @@ def test_warm_state_from_other_constraints_rejected():
     assert again.constraints is not a.constraints
     sol = solve_lp(again, warm=state)
     assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)
+    for relation, status in ((LE, "infeasible"), (GE, "unbounded")):
+        # x <= -1 has no point with x >= 0; max x with x >= -1 has no optimum
+        failed = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, relation, -1.0)])
+        state = solve_lp(failed)
+        assert state.status == status
+        with pytest.raises(LpError, match=status):
+            solve_lp(failed, warm=state)

@@ -122,7 +122,7 @@ def warm_children(problem, point, seed):
     capped below their value at `point` (an integer branch x <= floor(x*)),
     and problem with another objective. Some children are infeasible. A
     child that bounds a free variable, which no column pair can carry, is
-    restarted from the slack basis."""
+    restarted cold."""
     rng = np.random.default_rng(seed)
     lo, hi = problem.lower, problem.upper
     for fix in (True, True, False, False):
@@ -199,6 +199,53 @@ def test_singular_warm_basis_falls_back_to_cold():
     assert not warm.warm
     assert (warm.status, warm.objective) == (cold.status, cold.objective)
     assert warm.objective == pytest.approx(highs(child)[1], rel=1e-7, abs=1e-7)
+
+
+def _warm_child(model, lo, hi, parent):
+    """The first feasible branch-and-bound child of the node (lo, hi) whose
+    optimum is parent: the most fractional split indicator z fixed at 0 or
+    1, pinning its vp or vm column at 0, solved warm from parent. Returns
+    (child, its solution, z, the pinned column)."""
+    splits = [(z, (vp, vm)) for vps, vms, zs in model.relu
+              for vp, vm, z in zip(vps, vms, zs) if z >= 0]
+    z, pins = min(splits, key=lambda split: abs(parent.primal[split[0]] - 0.5))
+    assert 1e-6 < parent.primal[z] < 1 - 1e-6
+    for val in (0, 1):
+        child_lo, child_hi = lo.copy(), hi.copy()
+        child_lo[z] = child_hi[z] = val
+        child_hi[pins[val]] = 0.0
+        child = replace(model, lower=child_lo, upper=child_hi)
+        sol = solve_lp(child, warm=parent)
+        assert sol.warm
+        if sol.status == "optimal":
+            return child, sol, z, pins[val]
+    raise AssertionError("both branches are infeasible")
+
+
+def test_warm_state_drops_every_nonbasic_width_0_column():
+    """A warm child's optimum keeps no column that cannot move out of the
+    basis: not the branched binary, not the pinned split column, not an
+    equality row's logical. Its own child, solved warm from that state,
+    still matches the cold solve and HiGHS."""
+    net = init_mlp(6, [8, 8], 3, seed=0)
+    x = np.random.default_rng(0).uniform(0, 1, 6)
+    logits, _ = forward(net, x)
+    k = int(np.argmax(logits))
+    model = encode_adversarial(net, x, 0.3, k, runner_up(logits, k))
+    child, state, z, pinned = _warm_child(model, model.lower, model.upper, solve_lp(model))
+    cols = state.columns
+    lo, up = np.concatenate([[child.lower, child.upper], cols.logical], axis=1)
+    nonbasic = np.ones(cols.src.size, dtype=bool)
+    nonbasic[state.basis] = False
+    assert np.all(up[cols.src[nonbasic]] > lo[cols.src[nonbasic]])
+    # z leaves the state; the pinned column here stays basic at 0
+    assert z not in cols.src and pinned not in cols.src[nonbasic]
+    equalities = model.num_vars + np.flatnonzero(cols.logical[1] == 0.0)
+    assert equalities.size and not np.isin(equalities, cols.src).all()
+    grandchild, warm, _, _ = _warm_child(model, child.lower, child.upper, state)
+    cold = solve_lp(grandchild)
+    assert (warm.status, warm.objective) == (cold.status, pytest.approx(cold.objective, abs=1e-9))
+    assert warm.objective == pytest.approx(highs(grandchild)[1], rel=1e-7, abs=1e-7)
 
 
 @pytest.mark.parametrize("delta", [1 / 255, 2 / 255, 5 / 255, 20 / 255])

@@ -60,7 +60,8 @@ def test_invalid_params_rejected():
         SprConfig(-1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         SprConfig(0.5, 1.5, 1.0)
-    for lam, alpha, m in ((math.nan, 0.5, 1.0), (0.1, math.nan, 1.0), (0.1, 0.5, math.nan)):
+    for lam, alpha, m in ((math.nan, 0.5, 1.0), (0.1, math.nan, 1.0), (0.1, 0.5, math.nan),
+                          (math.inf, 0.5, 1.0), (0.1, 0.5, math.inf)):
         with pytest.raises(ValueError):
             SprConfig(lam, alpha, m)
 
