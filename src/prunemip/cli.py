@@ -99,15 +99,18 @@ def cmd_train(args):
     return 0
 
 
+def _grid(args):
+    """The SPR grid of the --grid-* flags: every lambda with every alpha."""
+    return [SprConfig(float(lam), float(alpha), args.spr_m)
+            for lam in args.grid_lambdas.split(",") for alpha in args.grid_alphas.split(",")]
+
+
 def cmd_prune(args):
     widths = parse_arch(args.arch)
     data = _load_data(args)
-    lambdas = [float(v) for v in args.grid_lambdas.split(",")]
-    alphas = [float(v) for v in args.grid_alphas.split(",")]
-    grid = [SprConfig(l, a, args.spr_m) for l in lambdas for a in alphas]
     cfg = TrainConfig(args.epochs, args.batch, args.lr, args.seed)
     net, report, log = prune_pipeline(
-        widths, data, grid, cfg,
+        widths, data, _grid(args), cfg,
         tau=args.tau, fine_tune_epochs=args.fine_tune_epochs, acc_floor=args.acc_floor,
     )
     save_model(net, args.out, training_meta={
@@ -183,8 +186,7 @@ def cmd_bench(args):
     deltas = [float(v) for v in args.deltas.split(",")]
     if any(not delta >= 0 or (delta == math.inf and not args.mnist) for delta in deltas):
         raise ValueError("each delta must be >= 0, and finite unless --mnist clamps the box")
-    grid = [SprConfig(float(lam), float(alpha), args.spr_m)
-            for lam in args.grid_lambdas.split(",") for alpha in args.grid_alphas.split(",")]
+    grid = _grid(args)
     check_prune_args(grid, args.tau, args.fine_tune_epochs)
     cfg = TrainConfig(10 if args.desk_scale else args.epochs, args.batch, args.lr, args.seed)
     solver = SolverConfig(time_limit_seconds=60.0 if args.desk_scale else args.time_limit)
@@ -287,6 +289,15 @@ def _add_train_flags(p, epochs=50):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_grid_flags(p):
+    """The flags of prune's and bench's grid search and pruning."""
+    p.add_argument("--grid-lambdas", default="0.1,0.5,1.0")
+    p.add_argument("--grid-alphas", default="0.1,0.5,0.9")
+    p.add_argument("--spr-m", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=1e-3)
+    p.add_argument("--fine-tune-epochs", type=int, default=10)
+
+
 def _add_verify_flags(p):
     p.add_argument("--delta", type=float, default=5.0)
     p.add_argument("--units", choices=["scaled", "raw-pixel"],
@@ -329,11 +340,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     _add_dataset_args(p)
     _add_train_flags(p)
-    p.add_argument("--grid-lambdas", default="0.1,0.5,1.0")
-    p.add_argument("--grid-alphas", default="0.1,0.5,0.9")
-    p.add_argument("--spr-m", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1e-3)
-    p.add_argument("--fine-tune-epochs", type=int, default=10)
+    _add_grid_flags(p)
     p.add_argument("--acc-floor", type=float, default=0.005)
     p.set_defaults(func=cmd_prune)
 
@@ -352,11 +359,7 @@ def build_parser():
     _add_train_flags(p, epochs=50)
     p.add_argument("--deltas", default="5.0")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--grid-lambdas", default="0.1,0.5,1.0")
-    p.add_argument("--grid-alphas", default="0.1,0.5,0.9")
-    p.add_argument("--spr-m", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1e-3)
-    p.add_argument("--fine-tune-epochs", type=int, default=10)
+    _add_grid_flags(p)
     p.add_argument("--time-limit", type=float, default=1800.0)
     p.add_argument("--obbt", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--desk-scale", action="store_true",

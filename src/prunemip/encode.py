@@ -95,16 +95,20 @@ class MipModel(LinearProgram):
         return int(self.is_binary.sum())
 
 
+def _affine_interval(W, b, lo, hi):
+    """Bounds of W x + b over the box lo <= x <= hi, through W+/W- splits."""
+    Wp, Wm = np.maximum(W, 0.0), np.minimum(W, 0.0)
+    return Wp @ lo + Wm @ hi + b, Wp @ hi + Wm @ lo + b
+
+
 def interval_bounds(mlp, box):
-    """Pre-activation intervals from propagating the box through W+/W- splits."""
+    """Pre-activation intervals from propagating the box layer by layer."""
     if box.dim != mlp.input_dim:
         raise ValueError("box dimension does not match network input")
     lo, hi = box.lower, box.upper
     los, his = [], []
     for W, b in mlp.layers[:-1]:
-        Wp, Wm = np.maximum(W, 0.0), np.minimum(W, 0.0)
-        pre_lo = Wp @ lo + Wm @ hi + b
-        pre_hi = Wp @ hi + Wm @ lo + b
+        pre_lo, pre_hi = _affine_interval(W, b, lo, hi)
         los.append(pre_lo)
         his.append(pre_hi)
         lo, hi = np.maximum(pre_lo, 0.0), np.maximum(pre_hi, 0.0)
@@ -191,7 +195,8 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
 
     With eliminate_stable=False every hidden neuron receives the full
     3-row encoding and a binary, matching the m binaries / n+2m continuous /
-    3m rows per-layer accounting.
+    3m rows per-layer accounting. Each output column is bounded by the
+    interval of its row over the bounds of the columns that row reads.
     """
     if box.dim != mlp.input_dim:
         raise ValueError("box dimension does not match network input")
@@ -199,9 +204,10 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
         raise ValueError("bounds table does not match network depth")
     bld, inputs, relu, prev = _encode_hidden(mlp.layers[:-1], box, bounds, eliminate_stable)
     W, b = mlp.layers[-1]
+    out_lo, out_hi = _affine_interval(W, b, np.take(bld.lower, prev), np.take(bld.upper, prev))
     outputs = []
     for j in range(W.shape[0]):
-        y = bld.add_var(f"y_{j}", -math.inf, math.inf)
+        y = bld.add_var(f"y_{j}", out_lo[j], out_hi[j])
         bld.add_affine({y: 1.0}, prev, W[j], b[j])
         outputs.append(y)
     return bld.finish(mlp=mlp, input_vars=inputs, output_vars=outputs, relu=relu)

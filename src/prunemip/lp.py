@@ -4,22 +4,20 @@ of an LP with the same constraints, and runs one path: a bounded dual simplex
 with bound flipping, then the primal phase 2.
 
 Serves as the LP kernel for bound tightening, branch-and-bound node
-relaxations, and the activation-pattern enumeration oracle. Variables may
-carry finite or infinite bounds; infinities are real ``math.inf`` sentinels,
-never large surrogate constants.
+relaxations, and the activation-pattern enumeration oracle. solve_lp needs a
+finite lower bound on every variable and raises LpError without one; an
+upper bound may be math.inf, a real sentinel, never a large surrogate
+constant. check_feasible takes any bounds.
 
 The constraint dicts are walked once per cold solve into a dense matrix A0
-and the right-hand sides. Row i reads a_i x + s_i = rhs_i, its logical
-variable s_i in column n + i of A0 (n = num_vars), bounded by the relation:
-[0, inf) for <=, [0, 0] for =, (-inf, 0] for >=. All n + m variables then
-map alike, the rest being array operations: x = offset + sign * x' with
-x' >= 0, offset lo and sign +1 when lo is finite (x' <= up - lo, width 0
-when fixed), offset up and sign -1 when only up is, and a free x is the
-difference of two adjacent columns. The column-source index src lists each
-variable's columns in order. So the columns are A0[:, src] * sign, the
-right-hand side rhs - A0 @ offset, and the primal offset plus a scatter-add
-of sign * x' over src. A logical is never free, so its columns, the last m,
-form a basis.
+and the right-hand sides, a >= row negated into a <= row. Row i reads
+a_i x + s_i = rhs_i, its logical variable s_i in column n + i of A0
+(n = num_vars), bounded by the relation: [0, inf) for <=, [0, 0] for =. All
+n + m variables then map alike: x = lo + x' with 0 <= x' <= up - lo, one
+column each, of width 0 when x is fixed. The column-source index src lists
+the variable of each column. So the columns are A0[:, src], the right-hand
+side rhs - A0 @ lo, and the primal lo plus x' at src. The logicals'
+columns, the last m, form a basis.
 
 The tableau has one row per constraint: bounds never become rows. A
 nonbasic column sits at 0 or at its upper bound u. A column at u is
@@ -51,12 +49,13 @@ pivot with the flips of its ratio test. It raises LpError only for
 malformed input.
 
 Warm start. An optimal LpSolution carries its final tableau state: the read
-constraints, the columns (src, sign), the basis and the flip set. A width-0
+constraints, the column sources src, the basis and the flip set. A width-0
 column out of the basis never moves again, so the state drops it, and its
 variable must stay fixed, at any value. solve_lp(lp, warm=state) takes an
 optimal state, and only for the constraint list it was read from or an
-equal one. Where its columns cannot carry lp's bounds, or its basis is
-singular, the solve restarts cold.
+equal one. Where lp unfixes a dropped variable or takes the upper bound of
+a complemented column away, or the basis is singular, the solve restarts
+cold.
 """
 
 import math
@@ -73,12 +72,15 @@ _BLAND_FACTOR = 5
 _MAX_ITER = 200_000
 
 LE, EQ, GE = "<=", "=", ">="
-_LOGICAL_BOUNDS = {LE: (0.0, math.inf), EQ: (0.0, 0.0), GE: (-math.inf, 0.0)}
+# per relation: the upper bound of the row's logical (its lower bound is 0),
+# and the factor that turns the row into a <= or = row
+_ROW = {LE: (math.inf, 1.0), EQ: (0.0, 1.0), GE: (math.inf, -1.0)}
 
 
 class LpError(ValueError):
     """Malformed LP input: a dimension mismatch, a bad relation, a NaN bound,
-    a non-finite objective entry, coefficient or rhs, or a warm state from
+    a non-finite objective entry, coefficient or rhs, a variable that
+    solve_lp is given without a finite lower bound, or a warm state from
     other constraints or from a solve without an optimum."""
 
 
@@ -103,14 +105,14 @@ class LinearProgram:
 class Columns:
     """The constraints as read (the list, A0 over the variables and then the
     logicals, rhs, the logicals' lower and upper bounds as a 2 x m array) and
-    the tableau's columns: column k is variable src[k] times sign[k]."""
+    the tableau's columns: column k is variable src[k] shifted by its lower
+    bound."""
 
     constraints: list
     A0: np.ndarray
     rhs: np.ndarray
     logical: np.ndarray
     src: np.ndarray
-    sign: np.ndarray
 
 
 @dataclass
@@ -141,7 +143,7 @@ def _check(lp):
 
 def _read(lp):
     """Check lp and read its constraints: (A0, rhs, logical bounds), A0 with
-    row i's logical in column num_vars + i.
+    row i's logical in column num_vars + i and a >= row negated into <=.
 
     The one walk over the constraint dicts. Indices are range-checked before
     they index A0, where a negative one would silently wrap around.
@@ -149,13 +151,13 @@ def _read(lp):
     _check(lp)
     n = lp.num_vars
     m = len(lp.constraints)
-    rhs, logical = np.empty(m), np.empty((2, m))
+    rhs, logical, scale = np.empty(m), np.zeros((2, m)), np.empty(m)
     rows, cols, vals = [], [], []
     for i, con in enumerate(lp.constraints):
-        if con.relation not in _LOGICAL_BOUNDS:
+        if con.relation not in _ROW:
             raise LpError(f"constraint {i}: unknown relation {con.relation!r}")
-        rhs[i] = con.rhs
-        logical[:, i] = _LOGICAL_BOUNDS[con.relation]
+        logical[1, i], scale[i] = _ROW[con.relation]
+        rhs[i] = scale[i] * con.rhs
         rows += [i] * len(con.coeffs)
         cols += con.coeffs
         vals += con.coeffs.values()
@@ -165,7 +167,7 @@ def _read(lp):
         raise LpError(f"constraint {rows[bad[0]]} references variable {cols[bad[0]]} "
                       f"outside 0..{n - 1}")
     A0 = np.zeros((m, n + m))
-    A0[rows, cols] = vals
+    A0[rows, cols] = np.multiply(vals, scale[rows])
     bad = np.flatnonzero(~(np.isfinite(A0).all(axis=1) & np.isfinite(rhs)))
     if bad.size:
         raise LpError(f"constraint {bad[0]} has a non-finite coefficient or rhs")
@@ -174,12 +176,15 @@ def _read(lp):
 
 
 def check_feasible(lp, point, tol=FEAS_TOL):
-    """True iff every bound and constraint holds within tol: the point and
-    its logicals (rhs minus each row's activity) lie within their bounds."""
+    """True iff the point is finite and every bound and constraint holds
+    within tol: the point and its logicals (rhs minus each row's activity)
+    lie within their bounds."""
     A0, rhs, logical = _read(lp)
     x = np.asarray(point, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LpError(f"point has length {x.size}, expected {lp.num_vars}")
+    if not np.isfinite(x).all():
+        return False
     lo, up = _bounds(lp, logical)
     xs = np.concatenate([x, rhs - A0[:, :x.size] @ x])
     return not (np.any(xs < lo - tol) or np.any(xs > up + tol))
@@ -324,37 +329,21 @@ def _bounds(lp, logical):
     return np.concatenate([np.array([lp.lower, lp.upper], dtype=float), logical], axis=1)
 
 
-def _cold_columns(lp, lo, up, read):
-    """Columns from the bounds, the layout of the module docstring."""
-    shifted = np.isfinite(lo)
-    mirrored = ~shifted & np.isfinite(up)
-    src = np.repeat(np.arange(lo.size), np.where(shifted | mirrored, 1, 2))
-    sign = np.where(mirrored, -1.0, 1.0)[src]
-    sign[1:][src[1:] == src[:-1]] = -1.0  # the second column of a free variable
-    return Columns(lp.constraints, *read, src, sign)
-
-
 def _standard_form(lp, columns, lo, up):
-    """(A, b, offset, ub, c2): lp on the given columns, with the column upper
-    bounds and the phase-2 costs in the minimization sense. None when the
-    bounds do not fit the columns: a variable without a column must be fixed,
-    a single column needs a finite offset, a column pair a free variable."""
-    A0, src, sign = columns.A0, columns.src, columns.sign
-    count = np.bincount(src, minlength=lo.size)
-    mirrored = np.zeros(lo.size, dtype=bool)
-    mirrored[src[sign < 0.0]] = True
-    mirrored &= count == 1
-    offset = np.where(mirrored, up, np.where(count == 2, 0.0, lo))
-    fits = np.where(count == 0, lo == up,
-                    np.where(count == 1, np.isfinite(offset), np.isneginf(lo) & np.isposinf(up)))
-    if not fits.all():
+    """(A, b, ub, c2): lp on the given columns, with the column upper bounds
+    and the phase-2 costs in the minimization sense. None when a variable
+    without a column is not fixed."""
+    src = columns.src
+    dropped = np.ones(lo.size, dtype=bool)
+    dropped[src] = False
+    if np.any(lo[dropped] != up[dropped]):
         return None
     n = lp.num_vars
-    b = columns.rhs - A0[:, :n] @ offset[:n]  # a logical's offset is its finite bound, 0
+    b = columns.rhs - columns.A0[:, :n] @ lo[:n]  # a logical's lower bound is 0
     sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
     cost = np.zeros(lo.size)
     cost[:n] = lp.objective
-    return A0[:, src] * sign, b, offset, up[src] - lo[src], sgn * sign * cost[src]
+    return columns.A0[:, src], b, up[src] - lo[src], sgn * cost[src]
 
 
 def solve_lp(lp, warm=None):
@@ -365,7 +354,8 @@ def solve_lp(lp, warm=None):
     or an equal one), it starts from warm's final basis, and restarts from
     the logicals' basis where that basis does not serve (module docstring).
     A solve that ends without an optimum or a proof of infeasibility has
-    status "unbounded" or "iteration-limit".
+    status "unbounded" or "iteration-limit". A variable whose bounds admit a
+    real value but whose lower bound is -inf raises LpError.
     """
     if warm is None:
         read = _read(lp)
@@ -382,24 +372,27 @@ def solve_lp(lp, warm=None):
     lo, up = _bounds(lp, read[2])
     if not np.all((lo <= up) & (lo < math.inf) & (up > -math.inf)):  # no real value fits
         return LpSolution("infeasible", warm=warm is not None)
+    bad = np.flatnonzero(np.isneginf(lo))
+    if bad.size:
+        raise LpError(f"variable {bad[0]} has no finite lower bound")
     if warm is not None:
         sol = _solve(lp, warm.columns, lo, up, warm.basis.copy(), warm.flipped.copy(),
                      warm=True)
         if sol is not None:
             return sol
-    columns = _cold_columns(lp, lo, up, read)
-    ncols = columns.src.size
-    return _solve(lp, columns, lo, up, np.arange(ncols - len(lp.constraints), ncols),
-                  np.zeros(ncols, dtype=bool), warm=False)
+    ncols = lo.size
+    return _solve(lp, Columns(lp.constraints, *read, np.arange(ncols)), lo, up,
+                  np.arange(lp.num_vars, ncols), np.zeros(ncols, dtype=bool), warm=False)
 
 
 def _solve(lp, columns, lo, up, basis, flipped, warm):
-    """Optimize lp from the given basis and flip set; None where the columns
-    cannot carry lp's bounds or the basis is singular."""
+    """Optimize lp from the given basis and flip set; None where lp unfixes a
+    variable without a column, a complemented column has no upper bound or
+    the basis is singular."""
     form = _standard_form(lp, columns, lo, up)
     if form is None:
         return None
-    A, b, offset, ub, c2 = form
+    A, b, ub, c2 = form
     if not np.isfinite(ub[flipped]).all():
         return None
     b -= A[:, flipped] @ ub[flipped]
@@ -434,8 +427,8 @@ def _solve(lp, columns, lo, up, basis, flipped, warm):
     vals = np.zeros(ub.size)
     vals[basis] = T[1:, -1]
     vals[flipped] = ub[flipped] - vals[flipped]
-    x = offset.copy()
-    np.add.at(x, columns.src, columns.sign * vals)
+    x = lo.copy()
+    x[columns.src] += vals
     x = x[:lp.num_vars].copy()  # not a view: a branch-and-bound node keeps it
     obj = float(np.asarray(lp.objective, dtype=float) @ x)
     # A width-0 column out of the basis never moves again: the state drops it.
@@ -445,7 +438,7 @@ def _solve(lp, columns, lo, up, basis, flipped, warm):
         keep = ~drop
         basis = (np.cumsum(keep) - 1)[basis]
         flipped = flipped[keep]
-        columns = replace(columns, src=columns.src[keep], sign=columns.sign[keep])
+        columns = replace(columns, src=columns.src[keep])
     return LpSolution("optimal", obj, x, columns=columns, basis=basis, flipped=flipped,
                       **counts)
 

@@ -108,16 +108,14 @@ def test_infeasible_injected_bounds():
 
 
 def test_unbounded_relaxation_ends_lp_failed():
-    """max y subject to y - z >= 0, y free, z binary: the root LP is
+    """max y subject to y - z >= 0, y >= 0, z binary: the root LP is
     unbounded, which proves nothing about the MILP, so the search keeps the
     root's bound (+inf) and ends lp-failed, not infeasible. The LP is proved
-    unbounded without an iteration; with y + x = 3 and x free, it takes a
+    unbounded without an iteration; with y - x = 3 and x >= 0, it takes a
     pivot first, and the failed LP's pivot is counted."""
-    text = ("Maximize\n obj: 1.0 y\nSubject To\n c0: 1.0 y - 1.0 z >= 0.0\n{}"
-            "Bounds\n y free\n{}Binaries\n z\nEnd\n")
-    for extra_row, extra_bound, pivots in (("", "", 0),
-                                           (" c1: 1.0 y + 1.0 x = 3.0\n", " x free\n", 1)):
-        report = solve(parse_lp(text.format(extra_row, extra_bound)), SolverConfig())
+    text = "Maximize\n obj: 1.0 y\nSubject To\n c0: 1.0 y - 1.0 z >= 0.0\n{}Binaries\n z\nEnd\n"
+    for extra_row, pivots in (("", 0), (" c1: 1.0 y - 1.0 x = 3.0\n", 1)):
+        report = solve(parse_lp(text.format(extra_row)), SolverConfig())
         assert report.status == "lp-failed"
         assert report.best_bound == math.inf
         assert report.incumbent_obj is None

@@ -137,6 +137,29 @@ def test_relu_layout_partitions_the_columns(eliminate_stable):
     assert (stable > 0) == eliminate_stable
 
 
+def test_output_columns_bound_the_forward_outputs():
+    """Every output column carries finite bounds, the interval of its row,
+    and they hold the outputs of sampled box points: the logits on
+    encode_network's columns, with stable neurons eliminated or not, and
+    y_h - y_k on encode_adversarial's margin column."""
+    rng = np.random.default_rng(12)
+    for seed in range(20):
+        net = random_net(1200 + seed, classes=3, scale=2.0)
+        x = rng.uniform(0.2, 0.8, net.input_dim)
+        adversarial = encode_adversarial(net, x, 0.3, 0, 2,
+                                         bounds_mode="obbt" if seed % 2 else "interval")
+        inputs = adversarial.input_vars
+        box = InputBox(adversarial.lower[inputs], adversarial.upper[inputs])
+        logits, _ = forward(net, rng.uniform(box.lower, box.upper, (500, net.input_dim)))
+        models = [(adversarial, logits[:, [2]] - logits[:, [0]])]
+        models += [(encode_network(net, box, interval_bounds(net, box), eliminate_stable), logits)
+                   for eliminate_stable in (True, False)]
+        for model, outputs in models:
+            lo, hi = model.lower[model.output_vars], model.upper[model.output_vars]
+            assert np.isfinite(lo).all() and np.isfinite(hi).all()
+            assert np.all((lo - 1e-9 <= outputs) & (outputs <= hi + 1e-9))
+
+
 def test_point_box_reproduces_forward():
     """Fixing the box to a point and the binaries to the activation signs
     makes the LP relaxation reproduce forward(x)."""
@@ -285,6 +308,8 @@ def test_lp_round_trip_byte_identical():
         model = encode_network(net, box, interval_bounds(net, box))
         model.objective[model.output_vars[0]] = 1.0
         text = write_lp(model)
+        for j, y in enumerate(model.output_vars):  # an output column is bounded, not free
+            assert f" {float(model.lower[y])!r} <= y_{j} <= {float(model.upper[y])!r}\n" in text
         reparsed = parse_lp(text)
         assert write_lp(reparsed) == text
         assert reparsed.num_vars == model.num_vars

@@ -36,7 +36,7 @@ def test_single_active_bound():
 
 def test_empty_feasible_set():
     cons = [Constraint({0: 1.0}, LE, 1.0), Constraint({0: 1.0}, GE, 2.0)]
-    assert solve_lp(lp(1, "maximize", [1], [-INF], [INF], cons)).status == "infeasible"
+    assert solve_lp(lp(1, "maximize", [1], [0], [INF], cons)).status == "infeasible"
     for bound in (INF, -INF):  # no real x has x >= inf, or x <= -inf
         assert solve_lp(lp(1, "maximize", [1], [bound], [bound], cons[:1])).status == "infeasible"
 
@@ -83,7 +83,18 @@ def test_nan_bound_rejected():
             solve_lp(lp(1, "maximize", [1], [lo], [hi], []))
     with pytest.raises(LpError):  # the LP text "nan <= x <= 1.0"
         solve_lp(parse_lp("Maximize\n obj: 1.0 x\nSubject To\nBounds\n nan <= x <= 1.0\nEnd\n"))
-    assert solve_lp(lp(1, "maximize", [-1], [-INF], [INF], [])).status == "unbounded"
+    assert solve_lp(lp(1, "maximize", [1], [0], [INF], [])).status == "unbounded"
+
+
+def test_variable_without_finite_lower_bound_rejected():
+    """solve_lp shifts every variable by its lower bound: a free or an
+    upper-only variable is malformed input, in an LP as in LP text."""
+    for lo, hi in ((-INF, INF), (-INF, 1.0)):
+        with pytest.raises(LpError, match="variable 1 has no finite lower bound"):
+            solve_lp(lp(2, "maximize", [1, 1], [0, lo], [1, hi], [Constraint({1: 1.0}, LE, 0.0)]))
+    for bound in (" y free", " y <= 1.0"):
+        with pytest.raises(LpError):
+            solve_lp(parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\nBounds\n{bound}\nEnd\n"))
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
@@ -123,12 +134,23 @@ def test_check_feasible_boundary_and_violation():
         assert check_feasible(problem, [x0, 4.0 - x0], tol) == feasible, x0
 
 
+def test_check_feasible_rejects_non_finite_point():
+    """NaN fails every comparison and inf passes [0, inf): neither is a point."""
+    boxed = lp(2, "maximize", [1, 1], [0, 0], [1, 1], [Constraint({0: 1.0, 1: 1.0}, LE, 2.0)])
+    assert check_feasible(boxed, [0.5, 0.5])
+    assert not check_feasible(boxed, [NAN, 0.5])
+    half_line = lp(1, "maximize", [1], [0], [INF], [])
+    assert check_feasible(half_line, [1e300])
+    for value in (INF, -INF, NAN):
+        assert not check_feasible(half_line, [value])
+
+
 def _random_lp(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     m = int(rng.integers(1, 2 * n))
     c = rng.normal(size=n)
-    lo = np.where(rng.random(n) < 0.8, rng.uniform(-3, 0, n), -INF)
+    lo = np.where(rng.random(n) < 0.8, rng.uniform(-3, 0, n), -3.0)  # 1 in 5 at the range's end
     hi = np.where(rng.random(n) < 0.8, rng.uniform(0, 3, n), INF)
     hi = np.maximum(hi, lo)
     cons = []

@@ -1,6 +1,6 @@
-"""solve_lp against HiGHS (scipy.optimize.linprog) on random LPs that mix every
-bound kind and relation, on their children solved warm from the parent's
-basis, and on the encoder's adversarial LP relaxations."""
+"""solve_lp against HiGHS (scipy.optimize.linprog) on random LPs that mix the
+bound kinds solve_lp takes and every relation, on their children solved warm
+from the parent's basis, and on the encoder's adversarial LP relaxations."""
 
 import math
 from collections import Counter
@@ -18,7 +18,9 @@ from prunemip.verify import runner_up
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 INF = math.inf
-BOUND_KINDS = ("boxed", "lower", "upper", "free", "fixed")
+# a draw picks one of five entries; solve_lp needs a finite lower bound, so
+# the boxed and the lower-bounded kind take two entries each
+BOUND_KINDS = ("boxed", "lower", "boxed", "lower", "fixed")
 
 
 def highs(problem):
@@ -66,8 +68,7 @@ def _bounds(rng, n):
     for j in range(n):
         kind = BOUND_KINDS[int(rng.integers(len(BOUND_KINDS)))]
         a, b = sorted(rng.uniform(-3, 3, 2))
-        lo[j], hi[j] = {"boxed": (a, b), "lower": (a, INF), "upper": (-INF, b),
-                        "free": (-INF, INF), "fixed": (a, a)}[kind]
+        lo[j], hi[j] = {"boxed": (a, b), "lower": (a, INF), "fixed": (a, a)}[kind]
     return lo, hi
 
 
@@ -92,8 +93,8 @@ def degenerate_lp(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     lo, hi = _bounds(rng, n)
-    v = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    boxed = np.isfinite(lo) & np.isfinite(hi)
+    v = lo.copy()
+    boxed = np.isfinite(hi)
     v[boxed] = np.round(0.5 * (lo[boxed] + hi[boxed]), 1)
     cons = []
     for _ in range(int(rng.integers(n, 3 * n))):
@@ -120,9 +121,7 @@ def warm_children(problem, point, seed):
     two children with one or two variables fixed at a finite bound or inside
     their range (a binary's branch, a pinned split column), two with them
     capped below their value at `point` (an integer branch x <= floor(x*)),
-    and problem with another objective. Some children are infeasible. A
-    child that bounds a free variable, which no column pair can carry, is
-    restarted cold."""
+    and problem with another objective. Some children are infeasible."""
     rng = np.random.default_rng(seed)
     lo, hi = problem.lower, problem.upper
     for fix in (True, True, False, False):
@@ -140,11 +139,11 @@ def warm_children(problem, point, seed):
 
 
 def test_warm_children_match_cold_and_highs(monkeypatch):
-    """Warm solves agree with the cold solve and with HiGHS. A child that
-    differs from its parent only in bounds keeps the parent's reduced costs,
-    so where it is solved warm the dual simplex alone reaches the optimum
-    and the primal phase 2 after it makes no iteration; a new objective may
-    need phase 2."""
+    """Warm solves agree with the cold solve and with HiGHS, and none restarts
+    cold. A child that differs from its parent only in bounds keeps the
+    parent's reduced costs, so where it is solved warm the dual simplex alone
+    reaches the optimum and the primal phase 2 after it makes no iteration;
+    a new objective may need phase 2."""
     primal_iterations = []
     run_simplex = lp_mod._run_simplex
 
@@ -177,8 +176,33 @@ def test_warm_children_match_cold_and_highs(monkeypatch):
     assert seen["optimal", True] > 400
     assert seen["infeasible", True] > 200
     assert seen["unbounded", True] > 0
-    assert seen["optimal", False] > 20
-    assert seen["infeasible", False] > 150
+    assert all(warm for _, warm in seen)
+
+
+def test_child_that_unfixes_a_dropped_column_restarts_cold():
+    """An optimal state drops a fixed variable's nonbasic column. A child
+    that gives that variable room again has no column for it, so it is
+    solved from the logicals' basis, like the cold solve, and matches
+    HiGHS."""
+    seen = Counter()
+    for seed in range(300):
+        for parent in (random_lp(seed), degenerate_lp(seed)):
+            state = solve_lp(parent)
+            if state.status != "optimal":
+                continue
+            dropped = np.setdiff1d(np.arange(parent.num_vars), state.columns.src)
+            if dropped.size == 0:
+                continue
+            upper = parent.upper.copy()
+            upper[dropped[0]] += 1.0
+            child = replace(parent, upper=upper)
+            warm, cold = solve_lp(child, warm=state), solve_lp(child)
+            status, obj = highs(child)
+            assert not warm.warm
+            assert (warm.status, warm.objective) == (cold.status, cold.objective) == (
+                status, pytest.approx(obj, rel=1e-7, abs=1e-7))
+            seen[status] += 1
+    assert seen["optimal"] > 40
 
 
 def test_singular_warm_basis_falls_back_to_cold():
