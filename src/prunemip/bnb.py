@@ -6,9 +6,9 @@ record of its bounds and its parent's LP solution: (-parent LP bound, tie
 counter, depth, lower, upper, parent solution) on a single heap, so the
 search is best-first over LP bounds from the root on. A node LP is the model
 with the node's bounds. The root is solved cold; every other node LP is
-re-optimised by the dual simplex from its parent's final basis, on the
-parent's tableau columns and its one read of the constraint dicts (lp
-module docstring), since a child differs from its parent only in bounds.
+re-optimised by the dual simplex from its parent's final basis, with the
+parent's one read of the constraint dicts (lp module docstring), since a
+child differs from its parent only in bounds.
 Branching fixes the model's most fractional binary (ties to the smallest
 column) in a copy of the parent's bounds; fixing a ReLU indicator z also
 pins one split column (z=1 pins vm to 0, z=0 pins vp to 0; the columns come
@@ -87,12 +87,12 @@ def solve(model, cfg, trace_log=None, started=None):
                            "cold_fallbacks", "failed_lps"), 0)
     counter = itertools.count()
     heap = [(-math.inf, next(counter), 0, model.lower, model.upper, None)]
-    while heap:
+    # best-first: heap[0] holds the best open bound, so once it is pruned by
+    # bound every open node is
+    while heap and -heap[0][0] > inc_obj + ABS_GAP:
         if time.monotonic() - t0 > cfg.time_limit_seconds:
             break
         neg_bound, _, depth, lo, hi, parent = heapq.heappop(heap)
-        if -neg_bound <= inc_obj + ABS_GAP:
-            continue  # pruned by bound before solving
         nodes += 1
         if trace_log is not None:
             trace_log.append(f"{nodes} {depth} {-neg_bound} {inc_obj}")
@@ -128,8 +128,10 @@ def solve(model, cfg, trace_log=None, started=None):
                 child_hi[pins[branch][val]] = 0.0
             heapq.heappush(heap, (-sol.objective, next(counter), depth + 1, child_lo, child_hi,
                                   sol))
+    else:  # no break: every open node is pruned by bound
+        heap.clear()
     wall = time.monotonic() - t0
-    if heap:  # the time limit stopped the search; heap[0] holds the best open bound
+    if heap:  # the time limit stopped the search
         status = "feasible-timeout" if incumbent is not None else "no-incumbent-timeout"
         best_bound = max(inc_obj, failed_bound, -heap[0][0])
     elif stats["failed_lps"]:

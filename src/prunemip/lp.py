@@ -13,11 +13,13 @@ The constraint dicts are walked once per cold solve into a dense matrix A0
 and the right-hand sides, a >= row negated into a <= row. Row i reads
 a_i x + s_i = rhs_i, its logical variable s_i in column n + i of A0
 (n = num_vars), bounded by the relation: [0, inf) for <=, [0, 0] for =. All
-n + m variables then map alike: x = lo + x' with 0 <= x' <= up - lo, one
-column each, of width 0 when x is fixed. The column-source index src lists
-the variable of each column. So the columns are A0[:, src], the right-hand
-side rhs - A0 @ lo, and the primal lo plus x' at src. The logicals'
-columns, the last m, form a basis.
+n + m variables then map alike: x = lo + x' with 0 <= x' <= up - lo, of
+width 0 when x is fixed. A basis names one basic variable per row; the
+logicals form one. Each solve takes its tableau columns from lp's own
+bounds: one, in variable order, for every variable that can move or is
+basic. A nonbasic variable of width 0 never moves and gets none. So the
+right-hand side is rhs - A0 @ lo, and the primal lo plus x' at the
+columns' variables.
 
 The tableau has one row per constraint: bounds never become rows. A
 nonbasic column sits at 0 or at its upper bound u. A column at u is
@@ -48,19 +50,19 @@ iterations. A primal iteration is a pivot or a bound flip, a dual one a
 pivot with the flips of its ratio test. It raises LpError only for
 malformed input.
 
-Warm start. An optimal LpSolution carries its final tableau state: the read
-constraints, the column sources src, the basis and the flip set. A width-0
-column out of the basis never moves again, so the state drops it, and its
-variable must stay fixed, at any value. solve_lp(lp, warm=state) takes an
-optimal state, and only for the constraint list it was read from or an
-equal one. Where lp unfixes a dropped variable or takes the upper bound of
-a complemented column away, or the basis is singular, the solve restarts
+Warm start. An optimal LpSolution carries its final state over the n + m
+variables, not over its tableau columns: the read rows, the basic variable
+of each row and the mask of complemented variables. solve_lp(lp,
+warm=state) takes an optimal state, and only for the constraint list it was
+read from or an equal one; lp may change any bound. A complemented column
+whose upper bound is now inf goes back to 0, and step (2) or (3) then
+flips it or shifts its cost. Only a singular basis makes the solve restart
 cold.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,17 +104,15 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class Columns:
-    """The constraints as read (the list, A0 over the variables and then the
-    logicals, rhs, the logicals' lower and upper bounds as a 2 x m array) and
-    the tableau's columns: column k is variable src[k] shifted by its lower
-    bound."""
+class Rows:
+    """The constraints as read: the list, A0 over the variables and then the
+    logicals, rhs, and the logicals' lower and upper bounds as a 2 x m
+    array."""
 
     constraints: list
     A0: np.ndarray
     rhs: np.ndarray
     logical: np.ndarray
-    src: np.ndarray
 
 
 @dataclass
@@ -123,10 +123,10 @@ class LpSolution:
     pivots: int = 0
     bound_flips: int = 0  # moves of a nonbasic column to its other bound
     warm: bool = False  # solved from the warm state given, not restarted cold
-    # final tableau state of an optimal solve, to warm-start another
-    columns: Columns = None
-    basis: np.ndarray = None  # basic column per constraint row
-    flipped: np.ndarray = None  # columns held complemented
+    # final state of an optimal solve, to warm-start another
+    rows: Rows = None
+    basis: np.ndarray = None  # basic variable per row, an index into the n + m variables
+    flipped: np.ndarray = None  # mask over the n + m variables: held complemented
 
 
 def _check(lp):
@@ -329,21 +329,15 @@ def _bounds(lp, logical):
     return np.concatenate([np.array([lp.lower, lp.upper], dtype=float), logical], axis=1)
 
 
-def _standard_form(lp, columns, lo, up):
-    """(A, b, ub, c2): lp on the given columns, with the column upper bounds
-    and the phase-2 costs in the minimization sense. None when a variable
-    without a column is not fixed."""
-    src = columns.src
-    dropped = np.ones(lo.size, dtype=bool)
-    dropped[src] = False
-    if np.any(lo[dropped] != up[dropped]):
-        return None
+def _standard_form(lp, rows, lo, up, src):
+    """(A, b, ub, c2): lp on the columns of the variables src, with the
+    column upper bounds and the phase-2 costs in the minimization sense."""
     n = lp.num_vars
-    b = columns.rhs - columns.A0[:, :n] @ lo[:n]  # a logical's lower bound is 0
+    b = rows.rhs - rows.A0[:, :n] @ lo[:n]  # a logical's lower bound is 0
     sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
     cost = np.zeros(lo.size)
     cost[:n] = lp.objective
-    return columns.A0[:, src], b, up[src] - lo[src], sgn * cost[src]
+    return rows.A0[:, src], b, up[src] - lo[src], sgn * cost[src]
 
 
 def solve_lp(lp, warm=None):
@@ -351,50 +345,48 @@ def solve_lp(lp, warm=None):
 
     Cold (warm=None), the solve starts from the logicals' basis. With warm,
     an optimal LpSolution of an LP with the same constraints (the same list,
-    or an equal one), it starts from warm's final basis, and restarts from
-    the logicals' basis where that basis does not serve (module docstring).
+    or an equal one), it starts from warm's basic variables and
+    complemented ones, and restarts from the logicals' basis only where
+    warm's basis is singular for lp.
     A solve that ends without an optimum or a proof of infeasibility has
     status "unbounded" or "iteration-limit". A variable whose bounds admit a
     real value but whose lower bound is -inf raises LpError.
     """
     if warm is None:
-        read = _read(lp)
+        rows = Rows(lp.constraints, *_read(lp))
     else:
         _check(lp)
-        cols = warm.columns
-        if cols is None:
+        rows = warm.rows
+        if rows is None:
             raise LpError(f"the warm state is from a solve that ended {warm.status!r}")
-        if lp.constraints is not cols.constraints and lp.constraints != cols.constraints:
+        if lp.constraints is not rows.constraints and lp.constraints != rows.constraints:
             raise LpError("the warm state is from an LP with other constraints")
-        if cols.A0.shape[1] != lp.num_vars + cols.rhs.size:
+        if rows.A0.shape[1] != lp.num_vars + rows.rhs.size:
             raise LpError("the warm state is from an LP of another shape")
-        read = cols.A0, cols.rhs, cols.logical
-    lo, up = _bounds(lp, read[2])
+    lo, up = _bounds(lp, rows.logical)
     if not np.all((lo <= up) & (lo < math.inf) & (up > -math.inf)):  # no real value fits
         return LpSolution("infeasible", warm=warm is not None)
     bad = np.flatnonzero(np.isneginf(lo))
     if bad.size:
         raise LpError(f"variable {bad[0]} has no finite lower bound")
     if warm is not None:
-        sol = _solve(lp, warm.columns, lo, up, warm.basis.copy(), warm.flipped.copy(),
-                     warm=True)
+        sol = _solve(lp, rows, lo, up, warm.basis, warm.flipped, warm=True)
         if sol is not None:
             return sol
-    ncols = lo.size
-    return _solve(lp, Columns(lp.constraints, *read, np.arange(ncols)), lo, up,
-                  np.arange(lp.num_vars, ncols), np.zeros(ncols, dtype=bool), warm=False)
+    return _solve(lp, rows, lo, up, np.arange(lp.num_vars, lo.size),
+                  np.zeros(lo.size, dtype=bool), warm=False)
 
 
-def _solve(lp, columns, lo, up, basis, flipped, warm):
-    """Optimize lp from the given basis and flip set; None where lp unfixes a
-    variable without a column, a complemented column has no upper bound or
-    the basis is singular."""
-    form = _standard_form(lp, columns, lo, up)
-    if form is None:
-        return None
-    A, b, ub, c2 = form
-    if not np.isfinite(ub[flipped]).all():
-        return None
+def _solve(lp, rows, lo, up, basis, flipped, warm):
+    """Optimize lp from the given basic variables and complemented ones, on
+    a column for every variable that can move or is basic; None where the
+    basis is singular."""
+    basic = np.zeros(lo.size, dtype=bool)
+    basic[basis] = True
+    src = np.flatnonzero((up > lo) | basic)
+    A, b, ub, c2 = _standard_form(lp, rows, lo, up, src)
+    basis = np.searchsorted(src, basis)
+    flipped = flipped[src] & np.isfinite(ub)  # without an upper bound a column sits at 0
     b -= A[:, flipped] @ ub[flipped]
     A[:, flipped] *= -1.0
     rest = np.ones(A.shape[1] + 1, dtype=bool)
@@ -428,19 +420,12 @@ def _solve(lp, columns, lo, up, basis, flipped, warm):
     vals[basis] = T[1:, -1]
     vals[flipped] = ub[flipped] - vals[flipped]
     x = lo.copy()
-    x[columns.src] += vals
+    x[src] += vals
     x = x[:lp.num_vars].copy()  # not a view: a branch-and-bound node keeps it
     obj = float(np.asarray(lp.objective, dtype=float) @ x)
-    # A width-0 column out of the basis never moves again: the state drops it.
-    drop = ub == 0.0
-    drop[basis] = False
-    if drop.any():
-        keep = ~drop
-        basis = (np.cumsum(keep) - 1)[basis]
-        flipped = flipped[keep]
-        columns = replace(columns, src=columns.src[keep])
-    return LpSolution("optimal", obj, x, columns=columns, basis=basis, flipped=flipped,
-                      **counts)
+    held = np.zeros(lo.size, dtype=bool)
+    held[src] = flipped
+    return LpSolution("optimal", obj, x, rows=rows, basis=src[basis], flipped=held, **counts)
 
 
 def _bland_after(lp):

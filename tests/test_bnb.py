@@ -2,7 +2,9 @@
 cases), determinism, heuristic properties, bound monotonicity, timeout
 statuses."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,6 +141,25 @@ def test_timeout_statuses():
     assert report.status in ("feasible-timeout", "no-incumbent-timeout")
     if report.status == "feasible-timeout":
         assert report.best_bound >= report.incumbent_obj - 1e-9
+
+
+def test_limit_passing_after_the_last_node_is_no_timeout(monkeypatch):
+    """A clock that ticks once per time check passes the limit just after
+    the untimed search's last node. Nodes still open then are all pruned by
+    bound, so the search has finished: it is optimal, not timed out. Over
+    these 40 nets, 9 leave such nodes open."""
+    for seed in range(40):
+        net = random_net(seed, input_dim=4, hidden=[6, 5], classes=3, scale=1.2)
+        x = np.full(4, 0.5)
+        k = int(np.argmax(forward(net, x)[0]))
+        model = encode_adversarial(net, x, 0.3, k, (k + 1) % 3, clamp=True)
+        monkeypatch.undo()
+        full = solve(model, SolverConfig())
+        ticks = itertools.count()
+        monkeypatch.setattr("prunemip.bnb.time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        timed = solve(model, SolverConfig(time_limit_seconds=full.nodes + 0.5))
+        assert (timed.status, timed.nodes, timed.incumbent_obj, timed.best_bound) == (
+            full.status, full.nodes, full.incumbent_obj, full.best_bound)
 
 
 def test_heuristic_center_margin():

@@ -280,7 +280,7 @@ def test_redundant_equality_keeps_a_basis():
     state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], cons))
     assert state.status == "optimal" and state.objective == pytest.approx(1.0, abs=1e-9)
     assert state.basis.size == 2
-    assert 3 + 1 in state.columns.src[state.basis]  # the second row's logical
+    assert 3 + 1 in state.basis  # the second row's logical
     child = lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons)
     sol = solve_lp(child, warm=state)
     assert sol.status == "infeasible" and sol.warm

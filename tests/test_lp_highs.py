@@ -179,30 +179,58 @@ def test_warm_children_match_cold_and_highs(monkeypatch):
     assert all(warm for _, warm in seen)
 
 
-def test_child_that_unfixes_a_dropped_column_restarts_cold():
-    """An optimal state drops a fixed variable's nonbasic column. A child
-    that gives that variable room again has no column for it, so it is
-    solved from the logicals' basis, like the cold solve, and matches
-    HiGHS."""
-    seen = Counter()
+def _assert_warm_matches_cold_and_highs(child, state):
+    """child solved warm from state: not restarted, and the cold solve and
+    HiGHS reach the same status and optimum. Returns the status."""
+    warm, cold = solve_lp(child, warm=state), solve_lp(child)
+    status, obj = highs(child)
+    assert warm.warm
+    assert warm.status == cold.status == status
+    if status == "optimal":
+        assert warm.objective == pytest.approx(obj, rel=1e-7, abs=1e-7)
+        assert cold.objective == pytest.approx(obj, rel=1e-7, abs=1e-7)
+        assert check_feasible(child, warm.primal, 1e-6)
+    return status
+
+
+def _optimal_parents():
     for seed in range(300):
         for parent in (random_lp(seed), degenerate_lp(seed)):
             state = solve_lp(parent)
-            if state.status != "optimal":
-                continue
-            dropped = np.setdiff1d(np.arange(parent.num_vars), state.columns.src)
-            if dropped.size == 0:
-                continue
-            upper = parent.upper.copy()
-            upper[dropped[0]] += 1.0
-            child = replace(parent, upper=upper)
-            warm, cold = solve_lp(child, warm=state), solve_lp(child)
-            status, obj = highs(child)
-            assert not warm.warm
-            assert (warm.status, warm.objective) == (cold.status, cold.objective) == (
-                status, pytest.approx(obj, rel=1e-7, abs=1e-7))
-            seen[status] += 1
+            if state.status == "optimal":
+                yield parent, state
+
+
+def test_child_that_unfixes_a_fixed_nonbasic_variable_is_solved_warm():
+    """A fixed variable out of the basis has no tableau column. A child that
+    gives it room again takes its columns from its own bounds, so it is
+    solved warm from the parent's basis."""
+    seen = Counter()
+    for parent, state in _optimal_parents():
+        fixed = np.setdiff1d(np.flatnonzero(parent.lower == parent.upper), state.basis)
+        if fixed.size == 0:
+            continue
+        upper = parent.upper.copy()
+        upper[fixed[0]] += 1.0
+        seen[_assert_warm_matches_cold_and_highs(replace(parent, upper=upper), state)] += 1
     assert seen["optimal"] > 40
+
+
+def test_child_that_unbounds_a_complemented_column_is_solved_warm():
+    """A child that takes away the upper bound of a variable held
+    complemented is solved warm: the column goes back to 0, and the step
+    that makes the tableau dual feasible flips it or shifts its cost. Some
+    of these children are unbounded."""
+    seen = Counter()
+    for parent, state in _optimal_parents():
+        held = np.flatnonzero(state.flipped[:parent.num_vars])
+        if held.size == 0:
+            continue
+        upper = parent.upper.copy()
+        upper[held[0]] = INF
+        seen[_assert_warm_matches_cold_and_highs(replace(parent, upper=upper), state)] += 1
+    assert seen["optimal"] > 80
+    assert seen["unbounded"] > 15
 
 
 def test_singular_warm_basis_falls_back_to_cold():
@@ -246,27 +274,41 @@ def _warm_child(model, lo, hi, parent):
     raise AssertionError("both branches are infeasible")
 
 
-def test_warm_state_drops_every_nonbasic_width_0_column():
-    """A warm child's optimum keeps no column that cannot move out of the
-    basis: not the branched binary, not the pinned split column, not an
-    equality row's logical. Its own child, solved warm from that state,
-    still matches the cold solve and HiGHS."""
+def test_warm_tableau_has_no_nonbasic_width_0_column(monkeypatch):
+    """A warm child's tableau holds no column that cannot move out of the
+    basis. The grandchild's, built on the child's optimum, holds neither the
+    branched binary nor the pinned split column out of the basis, nor every
+    equality row's logical. The grandchild still matches the cold solve and
+    HiGHS."""
     net = init_mlp(6, [8, 8], 3, seed=0)
     x = np.random.default_rng(0).uniform(0, 1, 6)
     logits, _ = forward(net, x)
     k = int(np.argmax(logits))
     model = encode_adversarial(net, x, 0.3, k, runner_up(logits, k))
-    child, state, z, pinned = _warm_child(model, model.lower, model.upper, solve_lp(model))
-    cols = state.columns
-    lo, up = np.concatenate([[child.lower, child.upper], cols.logical], axis=1)
-    nonbasic = np.ones(cols.src.size, dtype=bool)
-    nonbasic[state.basis] = False
-    assert np.all(up[cols.src[nonbasic]] > lo[cols.src[nonbasic]])
-    # z leaves the state; the pinned column here stays basic at 0
-    assert z not in cols.src and pinned not in cols.src[nonbasic]
-    equalities = model.num_vars + np.flatnonzero(cols.logical[1] == 0.0)
-    assert equalities.size and not np.isin(equalities, cols.src).all()
+    root = solve_lp(model)
+    tableaus = []
+    standard_form = lp_mod._standard_form
+
+    def recording(problem, rows, lo, up, src):
+        tableaus.append((problem, src))
+        return standard_form(problem, rows, lo, up, src)
+
+    def assert_every_nonbasic_column_moves(basis):
+        problem, src = tableaus[-1]  # the tableau of the last warm solve
+        lo, up = np.concatenate([[problem.lower, problem.upper], root.rows.logical], axis=1)
+        nonbasic = np.setdiff1d(src, basis)
+        assert np.all(up[nonbasic] > lo[nonbasic])
+        return src, nonbasic
+
+    monkeypatch.setattr(lp_mod, "_standard_form", recording)
+    child, state, z, pinned = _warm_child(model, model.lower, model.upper, root)
+    assert_every_nonbasic_column_moves(root.basis)
     grandchild, warm, _, _ = _warm_child(model, child.lower, child.upper, state)
+    src, nonbasic = assert_every_nonbasic_column_moves(state.basis)
+    # z leaves the tableau; the pinned column here stays basic at 0
+    assert z not in src and pinned not in nonbasic
+    equalities = model.num_vars + np.flatnonzero(state.rows.logical[1] == 0.0)
+    assert equalities.size and not np.isin(equalities, src).all()
     cold = solve_lp(grandchild)
     assert (warm.status, warm.objective) == (cold.status, pytest.approx(cold.objective, abs=1e-9))
     assert warm.objective == pytest.approx(highs(grandchild)[1], rel=1e-7, abs=1e-7)

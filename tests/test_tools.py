@@ -1,0 +1,36 @@
+"""tools/exactness.py: the record it prints for the first verify of its
+rounds."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_exactness():
+    spec = importlib.util.spec_from_file_location("exactness", ROOT / "tools" / "exactness.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exactness_first_record_is_a_deterministic_verdict_without_timings():
+    """The first record is the base net's verify of the first verify-desk
+    pair of bench seed 1: its verdict agrees with HiGHS's bound on the
+    margin in bench/nets/reference.json, and a second run prints it again
+    bit for bit."""
+    tool = _load_exactness()
+    record = next(tool.records())
+    assert list(record) == ["workload", "seed", "index", "delta", "side", "outcome", "margin",
+                            "nodes", "lp_solves", "pivots", "bound_flips", "warm_starts",
+                            "cold_fallbacks", "failed_lps"]
+    assert (record["workload"], record["seed"], record["side"]) == ("verify-desk", 1, "base")
+    reference = json.loads((ROOT / "bench" / "nets" / "reference.json").read_text())
+    pair = next(c for c in reference["desk"]["candidates"]
+                if (c["index"], c["delta"]) == (record["index"], record["delta"]))
+    highs_ub = pair["highs_ub"][0]
+    assert record["outcome"] == ("robust" if highs_ub < 0 else "counterexample")
+    assert float(record["margin"]) <= highs_ub + 1e-6
+    assert record["lp_solves"] == record["nodes"] == record["warm_starts"] + 1
+    assert json.dumps(record) == json.dumps(next(tool.records()))

@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Print one JSON line per verify of the verify-desk and verify-wide rounds
+of bench seeds 1-2: the verdict and the solve counters, no timings.
+
+    python3 tools/exactness.py > a.jsonl
+
+Run it in two checkouts: they reach the same verdicts by the same search,
+bit for bit, when `diff a.jsonl b.jsonl` prints nothing. Each line holds
+the workload, the seed, the input index, delta, the side (base or pruned
+net), the outcome, repr(margin), the node count and the six counters of
+the branch-and-bound stats.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+# first: one BLAS thread and src/ of this checkout on the path, before numpy
+from benchenv import NETS  # noqa: E402
+
+import spec  # noqa: E402
+from prunemip import build_instance, load_model, verify  # noqa: E402
+
+SEEDS = (1, 2)
+WORKLOADS = ("verify-desk", "verify-wide")
+
+
+def records():
+    """The records in print order: per workload and seed, its round's pairs,
+    each verified on the base and then the pruned net, as bench/run.py
+    does."""
+    reference = json.loads((NETS / "reference.json").read_text())
+    for workload in WORKLOADS:
+        shape = spec.SHAPES[workload.removeprefix("verify-")]
+        data = spec.make_data(shape)
+        nets = {side: load_model(NETS / f"{shape.name}_{side}.json")[0]
+                for side in ("base", "pruned")}
+        for seed in SEEDS:
+            for cand in spec.stratified_pick(reference[shape.name]["candidates"],
+                                             shape.strata, seed):
+                index, delta = cand["index"], cand["delta"]
+                for side, net in nets.items():
+                    inst = build_instance(net, data.inputs[index], int(data.labels[index]),
+                                          delta, units=shape.units, clamp=shape.clamp)
+                    verdict = verify(inst)
+                    yield {"workload": workload, "seed": seed, "index": index, "delta": delta,
+                           "side": side, "outcome": verdict.outcome,
+                           "margin": repr(verdict.margin), "nodes": verdict.report.nodes,
+                           **verdict.report.stats}
+
+
+def main():
+    for record in records():
+        print(json.dumps(record), flush=True)
+
+
+if __name__ == "__main__":
+    main()
