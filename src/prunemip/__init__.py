@@ -17,7 +17,7 @@ from .encode import (
     parse_lp,
     write_lp,
 )
-from .lp import Constraint, LinearProgram, LpSolution, check_feasible, solve_lp
+from .lp import LinearProgram, LpSolution, check_feasible, solve_lp
 from .nn import (
     Dataset,
     Mlp,

@@ -7,8 +7,8 @@ counter, depth, lower, upper, parent solution) on a single heap, so the
 search is best-first over LP bounds from the root on. A node LP is the model
 with the node's bounds. The root is solved cold; every other node LP is
 re-optimised by the dual simplex from its parent's final basis, with the
-parent's one read of the constraint dicts (lp module docstring), since a
-child differs from its parent only in bounds.
+rows the parent read (lp module docstring), since a child differs from its
+parent only in bounds.
 Branching fixes the model's most fractional binary (ties to the smallest
 column) in a copy of the parent's bounds; fixing a ReLU indicator z also
 pins one split column (z=1 pins vm to 0, z=0 pins vp to 0; the columns come
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encode import assemble_trace, interval_bounds
-from .lp import EQ, LE, Constraint, LinearProgram, solve_lp
+from .lp import EQ, LE, LinearProgram, solve_lp
 
 INT_TOL = 1e-6
 ABS_GAP = 1e-6  # a node is pruned unless its bound beats the incumbent by more
@@ -176,44 +176,30 @@ def brute_force_verify(mlp, box, k, h, max_unstable=20):
 
 
 def _pattern_lp(mlp, box, k, h, pattern):
+    """The LP of one activation pattern: a column per input and per hidden
+    neuron's output a, and one row per hidden neuron."""
     d = box.dim
-    lower = list(box.lower)
-    upper = list(box.upper)
-    cons = []
-    prev = list(range(d))
-    nv = d
+    nv = d + sum(W.shape[0] for W, _ in mlp.layers[:-1])
+    A = np.zeros((nv - d, nv))
+    lower = np.concatenate([box.lower, np.zeros(nv - d)])
+    upper = np.concatenate([box.upper, np.zeros(nv - d)])
+    relation, rhs = [], []
+    prev, start = np.arange(d), d
     for li, (W, b) in enumerate(mlp.layers[:-1]):
-        nxt = []
-        for j in range(W.shape[0]):
-            a = nv
-            nv += 1
-            if pattern[(li, j)]:  # active: a = W.prev + b, a >= 0
-                lower.append(0.0)
-                upper.append(math.inf)
-                row = {a: 1.0}
-                for i, w in zip(prev, W[j]):
-                    if w != 0.0:
-                        row[i] = row.get(i, 0.0) - w
-                cons.append(Constraint(row, EQ, b[j]))
-            else:  # inactive: a = 0, W.prev + b <= 0
-                lower.append(0.0)
-                upper.append(0.0)
-                row = {}
-                for i, w in zip(prev, W[j]):
-                    if w != 0.0:
-                        row[i] = row.get(i, 0.0) + w
-                cons.append(Constraint(row, LE, -b[j]))
-            nxt.append(a)
-        prev = nxt
+        cols = np.arange(start, start + W.shape[0])
+        on = np.array([pattern[(li, j)] for j in range(W.shape[0])], dtype=bool)
+        # active: a = W.prev + b, a >= 0; inactive: a = 0, W.prev + b <= 0
+        A[np.ix_(cols - d, prev)] = np.where(on[:, None], -W, W)
+        A[cols[on] - d, cols[on]] = 1.0
+        upper[cols[on]] = math.inf
+        relation += [EQ if active else LE for active in on]
+        rhs += np.where(on, b, -b).tolist()
+        prev, start = cols, start + cols.size
     W, b = mlp.layers[-1]
     c = np.zeros(nv)
-    const = 0.0
-    for out, sign in ((h, 1.0), (k, -1.0)):
-        for i, w in zip(prev, W[out]):
-            c[i] += sign * w
-        const += sign * b[out]
-    lp = LinearProgram(nv, "maximize", c, np.array(lower), np.array(upper), cons)
+    c[prev] = W[h] - W[k]
+    lp = LinearProgram(nv, "maximize", c, lower, upper, A, relation, np.array(rhs))
     sol = solve_lp(lp)
     if sol.status == "optimal":
-        sol.objective += const
+        sol.objective += b[h] - b[k]
     return sol

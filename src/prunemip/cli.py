@@ -188,8 +188,8 @@ def cmd_bench(args):
         raise ValueError("each delta must be >= 0, and finite unless --mnist clamps the box")
     grid = _grid(args)
     check_prune_args(grid, args.tau, args.fine_tune_epochs)
-    cfg = TrainConfig(10 if args.desk_scale else args.epochs, args.batch, args.lr, args.seed)
-    solver = SolverConfig(time_limit_seconds=60.0 if args.desk_scale else args.time_limit)
+    cfg = TrainConfig(args.epochs, args.batch, args.lr, args.seed)
+    solver = SolverConfig(time_limit_seconds=args.time_limit)
     data = _load_data(args)
     for arch, widths in archs:
         for rep in range(args.reps):
@@ -268,7 +268,7 @@ def cmd_export_lp(args):
                                clamp=inst.clamp)
     export_lp(model, args.out)
     _write_manifest(args.out, args)
-    print(f"wrote {args.out} ({model.num_vars} vars, {len(model.constraints)} rows, "
+    print(f"wrote {args.out} ({model.num_vars} vars, {model.rhs.size} rows, "
           f"{model.num_binaries} binaries)")
     return 0
 
@@ -362,8 +362,6 @@ def build_parser():
     _add_grid_flags(p)
     p.add_argument("--time-limit", type=float, default=1800.0)
     p.add_argument("--obbt", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--desk-scale", action="store_true",
-                   help="CI preset: 10 epochs, 60 s solver limit")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-lp", help="write the adversarial MILP as an LP file")

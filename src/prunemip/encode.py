@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import EQ, LE, Constraint, LinearProgram
+from .lp import EQ, LE, LinearProgram
 from .nn import Mlp, forward
 
 
@@ -116,12 +116,17 @@ def interval_bounds(mlp, box):
 
 
 class _ModelBuilder:
+    """A model's columns and rows in the order they are added. Each row's
+    nonzeros are kept as (row, column, value) triplets until finish()."""
+
     def __init__(self):
         self.names = []
         self.lower = []
         self.upper = []
         self.binary = []
-        self.constraints = []
+        self.relation = []
+        self.rhs = []
+        self.entries = ([], [], [])  # rows, columns, values
 
     def add_var(self, name, lo, hi, binary=False):
         self.names.append(name)
@@ -131,24 +136,34 @@ class _ModelBuilder:
         return len(self.names) - 1
 
     def add_con(self, coeffs, relation, rhs):
-        self.constraints.append(Constraint(dict(coeffs), relation, rhs))
+        """The row coeffs . x (relation) rhs, coeffs a {column: value} dict."""
+        rows, cols, vals = self.entries
+        rows += [len(self.rhs)] * len(coeffs)
+        cols += coeffs
+        vals += coeffs.values()
+        self.relation.append(relation)
+        self.rhs.append(rhs)
 
     def add_affine(self, row, prev, weights, bias):
         """The row `row - weights . prev = bias`; zero weights get no entry."""
-        for i, w in zip(prev, weights):
-            if w != 0.0:
-                row[i] = row.get(i, 0.0) - w
+        nz = np.flatnonzero(weights)
+        row.update(zip(np.take(prev, nz).tolist(), (-weights[nz]).tolist()))
         self.add_con(row, EQ, bias)
 
     def finish(self, **meta):
         n = len(self.names)
+        rows, cols, vals = self.entries
+        A = np.zeros((len(self.rhs), n))
+        A[np.array(rows, dtype=int), np.array(cols, dtype=int)] = vals
         return MipModel(
             num_vars=n,
             objective_sense="maximize",
             objective=np.zeros(n),
             lower=np.array(self.lower, dtype=float),
             upper=np.array(self.upper, dtype=float),
-            constraints=self.constraints,
+            A=A,
+            relation=np.array(self.relation, dtype=str),
+            rhs=np.array(self.rhs, dtype=float),
             names=self.names,
             is_binary=np.array(self.binary, dtype=bool),
             **meta,
@@ -320,9 +335,11 @@ def _num(v):
     return repr(float(v))
 
 
-def _expr(coeffs, names):
+def _expr(coeffs, columns, names):
+    """coeffs . x as text, its nonzero terms in the order of columns."""
     parts = []
-    for j, c in coeffs.items():
+    for j in columns[np.flatnonzero(coeffs[columns])].tolist():
+        c = coeffs[j]
         sign = "-" if c < 0 else "+"
         parts.append(f"{sign} {_num(abs(c))} {names[j]}")
     if not parts:
@@ -334,29 +351,26 @@ def _expr(coeffs, names):
 def write_lp(model):
     """Deterministic LP-format text; re-parsing our output is byte-stable.
 
-    The objective lists its nonzero coefficients in column order. Bounds
-    and Binaries are listed in order of first appearance in the document
-    (objective, then constraints), which is exactly the variable order
-    parse_lp reconstructs — so write -> parse -> write is the identity.
+    Every expression lists its nonzero terms, and Bounds and Binaries their
+    columns, in order of first appearance in the document (the objective in
+    column order, then each row in column order), which is exactly the
+    variable order parse_lp reconstructs — so write -> parse -> write is the
+    identity.
     """
-    objective = {j: model.objective[j] for j in np.flatnonzero(model.objective).tolist()}
-    order = {}
-    for j in objective:
-        order.setdefault(j, len(order))
-    for con in model.constraints:
-        for j in con.coeffs:
-            order.setdefault(j, len(order))
-    for j in range(model.num_vars):
-        order.setdefault(j, len(order))
-    columns = sorted(range(model.num_vars), key=order.__getitem__)
+    rows = model.constraints
+    seen = np.concatenate([np.flatnonzero(model.objective),
+                           *(np.flatnonzero(coeffs) for coeffs, _, _ in rows),
+                           np.arange(model.num_vars)])
+    _, first = np.unique(seen, return_index=True)
+    columns = seen[np.sort(first)]
 
     lines = [model.objective_sense.capitalize()]
-    lines.append(f" obj: {_expr(objective, model.names)}")
+    lines.append(f" obj: {_expr(model.objective, columns, model.names)}")
     lines.append("Subject To")
-    for i, con in enumerate(model.constraints):
-        lines.append(f" c{i}: {_expr(con.coeffs, model.names)} {con.relation} {_num(con.rhs)}")
+    for i, (coeffs, relation, rhs) in enumerate(rows):
+        lines.append(f" c{i}: {_expr(coeffs, columns, model.names)} {relation} {_num(rhs)}")
     lines.append("Bounds")
-    for j in columns:
+    for j in columns.tolist():
         if model.is_binary[j]:
             continue
         name = model.names[j]
@@ -369,7 +383,7 @@ def write_lp(model):
             lines.append(f" {name} >= {_num(lo)}")
         else:
             lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
-    binaries = [model.names[j] for j in columns if model.is_binary[j]]
+    binaries = [model.names[j] for j in columns.tolist() if model.is_binary[j]]
     if binaries:
         lines.append("Binaries")
         lines.append(" " + " ".join(binaries))
@@ -407,19 +421,14 @@ def _parse_terms(tokens, get_var):
 
 def parse_lp(text):
     """Parse LP text produced by write_lp back into a MipModel (no metadata)."""
-    names, lower, upper, binary = [], [], [], []
+    bld = _ModelBuilder()
     var_index = {}
 
     def _get_var(name):
         if name not in var_index:
-            var_index[name] = len(names)
-            names.append(name)
-            lower.append(0.0)
-            upper.append(math.inf)
-            binary.append(False)
+            var_index[name] = bld.add_var(name, 0.0, math.inf)
         return var_index[name]
 
-    constraints = []
     objective = {}
     sense = None
     section = None
@@ -451,39 +460,31 @@ def parse_lp(text):
                 tokens = body.split()
                 rel_pos = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
                 coeffs = _parse_terms(tokens[:rel_pos], _get_var)
-                constraints.append(Constraint(coeffs, tokens[rel_pos], float(tokens[rel_pos + 1])))
+                bld.add_con(coeffs, tokens[rel_pos], float(tokens[rel_pos + 1]))
             elif section == "bounds":
                 tokens = line.split()
                 if tokens[-1] == "free":
                     j = _get_var(tokens[0])
-                    lower[j], upper[j] = -math.inf, math.inf
+                    bld.lower[j], bld.upper[j] = -math.inf, math.inf
                 elif len(tokens) == 5:  # lo <= name <= hi
                     j = _get_var(tokens[2])
-                    lower[j], upper[j] = float(tokens[0]), float(tokens[4])
+                    bld.lower[j], bld.upper[j] = float(tokens[0]), float(tokens[4])
                 elif tokens[1] == "<=":
                     j = _get_var(tokens[0])
-                    lower[j], upper[j] = -math.inf, float(tokens[2])
+                    bld.lower[j], bld.upper[j] = -math.inf, float(tokens[2])
                 else:
                     j = _get_var(tokens[0])
-                    lower[j], upper[j] = float(tokens[2]), math.inf
+                    bld.lower[j], bld.upper[j] = float(tokens[2]), math.inf
             elif section == "binaries":
                 for name in line.split():
                     j = _get_var(name)
-                    binary[j] = True
-                    lower[j], upper[j] = 0.0, 1.0
+                    bld.binary[j] = True
+                    bld.lower[j], bld.upper[j] = 0.0, 1.0
         except (IndexError, StopIteration, ValueError):
             raise ValueError(f"LP text line {lineno}: malformed {section} line {line!r}") from None
     if sense is None:
         raise ValueError("LP text has no objective section")
-    c = np.zeros(len(names))
-    c[list(objective)] = list(objective.values())
-    return MipModel(
-        num_vars=len(names),
-        objective_sense=sense,
-        objective=c,
-        lower=np.array(lower, dtype=float),
-        upper=np.array(upper, dtype=float),
-        constraints=constraints,
-        names=names,
-        is_binary=np.array(binary, dtype=bool),
-    )
+    model = bld.finish()
+    model.objective_sense = sense
+    model.objective[list(objective)] = list(objective.values())
+    return model

@@ -1,6 +1,6 @@
 """Dense bounded-variable simplex for small linear programs in computational
 form. Every solve starts from a basis, the logicals' basis or the final basis
-of an LP with the same constraints, and runs one path: a bounded dual simplex
+of an LP with the same rows, and runs one path: a bounded dual simplex
 with bound flipping, then the primal phase 2.
 
 Serves as the LP kernel for bound tightening, branch-and-bound node
@@ -9,10 +9,11 @@ finite lower bound on every variable and raises LpError without one; an
 upper bound may be math.inf, a real sentinel, never a large surrogate
 constant. check_feasible takes any bounds.
 
-The constraint dicts are walked once per cold solve into a dense matrix A0
-and the right-hand sides, a >= row negated into a <= row. Row i reads
-a_i x + s_i = rhs_i, its logical variable s_i in column n + i of A0
-(n = num_vars), bounded by the relation: [0, inf) for <=, [0, 0] for =. All
+An LP's rows are a matrix A (m x n, n = num_vars), a relation per row and
+rhs. A cold solve reads them with one copy, A0 = [scale * A | I], where
+scale negates a >= row into a <= row, and the right-hand sides scale * rhs.
+Row i reads a_i x + s_i = rhs_i, its logical variable s_i in column n + i
+of A0, bounded by the relation: [0, inf) for <=, [0, 0] for =. All
 n + m variables then map alike: x = lo + x' with 0 <= x' <= up - lo, of
 width 0 when x is fixed. A basis names one basic variable per row; the
 logicals form one. Each solve takes its tableau columns from lp's own
@@ -32,17 +33,17 @@ rebuilds the tableau. (2) Every boxed nonbasic column whose reduced cost has
 the wrong sign is complemented; (3) an unboxed one gets its reduced cost
 set to 0 (cost shifting), so the tableau is dual feasible. (4) The bounded
 dual simplex lets the most infeasible basic variable (below 0 or above its
-upper bound) leave; after _bland_after(lp) iterations, the infeasible one
-of smallest column. Its ratio test passes the breakpoints of boxed columns
-in ratio order while the leaving row stays infeasible with them at their
-other bound, complements every passed column at once, and enters at the
-first breakpoint it cannot pass, the largest |alpha| among tied ratios. A
-row that stays infeasible with every breakpoint passed proves the LP
-infeasible. A variable that leaves above its upper bound is complemented.
-(5) If a cost was shifted, the true costs are priced again, and (6) the
-primal phase 2 finishes; its ratio test stops where a basic variable
-reaches either of its bounds or where the entering column reaches its own,
-the last case a bound flip, an iteration without a pivot.
+upper bound) leave; after _BLAND_FACTOR * (n + m) iterations, the
+infeasible one of smallest column. Its ratio test passes the breakpoints of
+boxed columns in ratio order while the leaving row stays infeasible with
+them at their other bound, complements every passed column at once, and
+enters at the first breakpoint it cannot pass, the largest |alpha| among
+tied ratios. A row that stays infeasible with every breakpoint passed
+proves the LP infeasible. A variable that leaves above its upper bound is
+complemented. (5) If a cost was shifted, the true costs are priced again,
+and (6) the primal phase 2 finishes; its ratio test stops where a basic
+variable reaches either of its bounds or where the entering column reaches
+its own, the last case a bound flip, an iteration without a pivot.
 
 A solve ends with a status: "optimal", "infeasible", "unbounded", or
 "iteration-limit" once the dual or the primal simplex passes _MAX_ITER
@@ -53,16 +54,16 @@ malformed input.
 Warm start. An optimal LpSolution carries its final state over the n + m
 variables, not over its tableau columns: the read rows, the basic variable
 of each row and the mask of complemented variables. solve_lp(lp,
-warm=state) takes an optimal state, and only for the constraint list it was
-read from or an equal one; lp may change any bound. A complemented column
-whose upper bound is now inf goes back to 0, and step (2) or (3) then
-flips it or shifts its cost. Only a singular basis makes the solve restart
-cold.
+warm=state) takes an optimal state, and only for the A, relation and rhs it
+was read from (the same objects or equal ones); lp may change any bound. A
+complemented column whose upper bound is now inf goes back to 0, and step
+(2) or (3) then flips it or shifts its cost. Only a singular basis makes
+the solve restart cold.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +75,8 @@ _BLAND_FACTOR = 5
 _MAX_ITER = 200_000
 
 LE, EQ, GE = "<=", "=", ">="
-# per relation: the upper bound of the row's logical (its lower bound is 0),
-# and the factor that turns the row into a <= or = row
-_ROW = {LE: (math.inf, 1.0), EQ: (0.0, 1.0), GE: (math.inf, -1.0)}
+
+Row = namedtuple("Row", "coeffs relation rhs")
 
 
 class LpError(ValueError):
@@ -86,30 +86,37 @@ class LpError(ValueError):
     other constraints or from a solve without an optimum."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict  # var index -> coefficient
-    relation: str
-    rhs: float
-
-
 @dataclass
 class LinearProgram:
+    """Optimize objective . x subject to A x (relation) rhs, row by row, and
+    lower <= x <= upper."""
+
     num_vars: int
     objective_sense: str  # "maximize" | "minimize"
     objective: np.ndarray
     lower: np.ndarray  # -inf allowed
     upper: np.ndarray  # +inf allowed
-    constraints: list = field(default_factory=list)
+    A: np.ndarray  # rows x num_vars
+    relation: np.ndarray  # per row: "<=", "=" or ">="
+    rhs: np.ndarray
+
+    @property
+    def constraints(self):
+        """The rows as a tuple of Row(coeffs, relation, rhs), coeffs a
+        read-only row of A. It builds a tuple per row: the solver never
+        calls it."""
+        A = np.asarray(self.A, dtype=float).view()
+        A.flags.writeable = False
+        return tuple(map(Row, A, self.relation, self.rhs))
 
 
 @dataclass(frozen=True)
 class Rows:
-    """The constraints as read: the list, A0 over the variables and then the
-    logicals, rhs, and the logicals' lower and upper bounds as a 2 x m
-    array."""
+    """The rows as read: lp's (A, relation, rhs), to recognise them, then A0
+    over the variables and the logicals, the right-hand sides with a >= row
+    negated, and the logicals' lower and upper bounds as a 2 x m array."""
 
-    constraints: list
+    source: tuple
     A0: np.ndarray
     rhs: np.ndarray
     logical: np.ndarray
@@ -130,9 +137,11 @@ class LpSolution:
 
 
 def _check(lp):
-    n = lp.num_vars
+    n, m = lp.num_vars, np.size(lp.rhs)
     if len(lp.objective) != n or len(lp.lower) != n or len(lp.upper) != n:
         raise LpError("objective/bounds length does not match num_vars")
+    if (np.shape(lp.A), np.shape(lp.relation), np.shape(lp.rhs)) != ((m, n), (m,), (m,)):
+        raise LpError(f"A, relation and rhs must have shapes ({m}, {n}), ({m},) and ({m},)")
     if lp.objective_sense not in ("maximize", "minimize"):
         raise LpError(f"unknown objective sense {lp.objective_sense!r}")
     if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
@@ -142,37 +151,23 @@ def _check(lp):
 
 
 def _read(lp):
-    """Check lp and read its constraints: (A0, rhs, logical bounds), A0 with
-    row i's logical in column num_vars + i and a >= row negated into <=.
-
-    The one walk over the constraint dicts. Indices are range-checked before
-    they index A0, where a negative one would silently wrap around.
-    """
+    """Check lp and read its rows: (A0, rhs, logical bounds), A0 =
+    [scale * A | I] with row i's logical in column num_vars + i and a >= row
+    negated into <=."""
     _check(lp)
-    n = lp.num_vars
-    m = len(lp.constraints)
-    rhs, logical, scale = np.empty(m), np.zeros((2, m)), np.empty(m)
-    rows, cols, vals = [], [], []
-    for i, con in enumerate(lp.constraints):
-        if con.relation not in _ROW:
-            raise LpError(f"constraint {i}: unknown relation {con.relation!r}")
-        logical[1, i], scale[i] = _ROW[con.relation]
-        rhs[i] = scale[i] * con.rhs
-        rows += [i] * len(con.coeffs)
-        cols += con.coeffs
-        vals += con.coeffs.values()
-    cols = np.array(cols, dtype=np.intp)
-    bad = np.flatnonzero((cols < 0) | (cols >= n))
+    A, rhs = np.asarray(lp.A, dtype=float), np.asarray(lp.rhs, dtype=float)
+    relation = np.asarray(lp.relation, dtype=str)
+    eq, ge = relation == EQ, relation == GE
+    bad = np.flatnonzero(~(eq | ge | (relation == LE)))
     if bad.size:
-        raise LpError(f"constraint {rows[bad[0]]} references variable {cols[bad[0]]} "
-                      f"outside 0..{n - 1}")
-    A0 = np.zeros((m, n + m))
-    A0[rows, cols] = np.multiply(vals, scale[rows])
-    bad = np.flatnonzero(~(np.isfinite(A0).all(axis=1) & np.isfinite(rhs)))
+        raise LpError(f"constraint {bad[0]}: unknown relation {str(relation[bad[0]])!r}")
+    bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(rhs)))
     if bad.size:
         raise LpError(f"constraint {bad[0]} has a non-finite coefficient or rhs")
-    A0[:, n:] = np.eye(m)
-    return A0, rhs, logical
+    scale = np.where(ge, -1.0, 1.0)
+    logical = np.zeros((2, rhs.size))
+    logical[1, ~eq] = math.inf
+    return np.hstack([scale[:, None] * A, np.eye(rhs.size)]), scale * rhs, logical
 
 
 def check_feasible(lp, point, tol=FEAS_TOL):
@@ -344,25 +339,24 @@ def solve_lp(lp, warm=None):
     """Optimize lp. Deterministic.
 
     Cold (warm=None), the solve starts from the logicals' basis. With warm,
-    an optimal LpSolution of an LP with the same constraints (the same list,
-    or an equal one), it starts from warm's basic variables and
-    complemented ones, and restarts from the logicals' basis only where
+    an optimal LpSolution of an LP with the same rows (the same A, relation
+    and rhs objects, or equal ones), it starts from warm's basic variables
+    and complemented ones, and restarts from the logicals' basis only where
     warm's basis is singular for lp.
     A solve that ends without an optimum or a proof of infeasibility has
     status "unbounded" or "iteration-limit". A variable whose bounds admit a
     real value but whose lower bound is -inf raises LpError.
     """
+    source = (lp.A, lp.relation, lp.rhs)
     if warm is None:
-        rows = Rows(lp.constraints, *_read(lp))
+        rows = Rows(source, *_read(lp))
     else:
         _check(lp)
         rows = warm.rows
         if rows is None:
             raise LpError(f"the warm state is from a solve that ended {warm.status!r}")
-        if lp.constraints is not rows.constraints and lp.constraints != rows.constraints:
+        if not all(a is b or np.array_equal(a, b) for a, b in zip(source, rows.source)):
             raise LpError("the warm state is from an LP with other constraints")
-        if rows.A0.shape[1] != lp.num_vars + rows.rhs.size:
-            raise LpError("the warm state is from an LP of another shape")
     lo, up = _bounds(lp, rows.logical)
     if not np.all((lo <= up) & (lo < math.inf) & (up > -math.inf)):  # no real value fits
         return LpSolution("infeasible", warm=warm is not None)
@@ -407,7 +401,7 @@ def _solve(lp, rows, lo, up, basis, flipped, warm):
     _flip(T, ub, flipped, np.flatnonzero(wrong))
     T[0, :-1][shifted] = 0.0
     tally = Counter(flips=int(wrong.sum()))
-    bland_after = _bland_after(lp)
+    bland_after = _BLAND_FACTOR * rows.A0.shape[1]
     status = _run_dual(T, basis, ub, flipped, bland_after, tally)
     if status == "optimal":
         if shifted.any():
@@ -426,7 +420,3 @@ def _solve(lp, rows, lo, up, basis, flipped, warm):
     held = np.zeros(lo.size, dtype=bool)
     held[src] = flipped
     return LpSolution("optimal", obj, x, rows=rows, basis=src[basis], flipped=held, **counts)
-
-
-def _bland_after(lp):
-    return _BLAND_FACTOR * (lp.num_vars + len(lp.constraints))

@@ -302,7 +302,7 @@ def test_gen_data_rejects_unknown_field(tmp_path):
 def test_bench_desk_scale(tmp_path):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--archs", "1x8", "--out", str(out),
-                   "--reps", "1", "--desk-scale", "--batch", "32",
+                   "--reps", "1", "--epochs", "10", "--time-limit", "60", "--batch", "32",
                    "--grid-lambdas", "0.5", "--grid-alphas", "0.5",
                    "--deltas", "0.5", "--fine-tune-epochs", "3")
     assert code == 0
@@ -327,7 +327,7 @@ def test_bench_bad_argument_exits_before_training(flags, monkeypatch, tmp_path):
     out = tmp_path / "bench.csv"
     with pytest.raises(SystemExit) as exc:
         run_cli("bench", "--archs", "1x8", "--out", str(out), "--reps", "1",
-                "--desk-scale", *flags)
+                "--epochs", "10", "--time-limit", "60", *flags)
     assert exc.value.code == EXIT_USAGE
     assert not out.exists()
 
@@ -351,7 +351,7 @@ def test_bench_reuses_the_rep_invariant_work(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "accuracy", counting_accuracy, raising=False)
     out = tmp_path / "bench.csv"
     assert run_cli("bench", "--archs", "1x8", "--out", str(out),
-                   "--reps", "1", "--desk-scale", "--batch", "32",
+                   "--reps", "1", "--epochs", "10", "--time-limit", "60", "--batch", "32",
                    "--grid-lambdas", "0.5", "--grid-alphas", "0.5",
                    "--deltas", "0.5,1.0,2.0", "--fine-tune-epochs", "3") == 0
     assert calls == {"first_correct": 1, "accuracy": 0}
@@ -366,7 +366,7 @@ def test_bench_marks_unknown_outcomes(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules["prunemip.verify"], "solve", _unknown_report)
     out = tmp_path / "bench.csv"
     assert run_cli("bench", "--archs", "1x8", "--out", str(out),
-                   "--reps", "1", "--desk-scale", "--batch", "32",
+                   "--reps", "1", "--epochs", "10", "--time-limit", "60", "--batch", "32",
                    "--grid-lambdas", "0.5", "--grid-alphas", "0.5",
                    "--deltas", "0.5", "--fine-tune-epochs", "3") == 0
     with open(out) as f:

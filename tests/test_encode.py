@@ -284,7 +284,8 @@ def test_write_lp_minimal_model():
     from prunemip.encode import MipModel
 
     model = MipModel(num_vars=1, objective_sense="maximize", objective=np.array([1.0]),
-                     lower=np.array([0.0]), upper=np.array([2.0]), constraints=[],
+                     lower=np.array([0.0]), upper=np.array([2.0]), A=np.zeros((0, 1)),
+                     relation=np.array([], dtype=str), rhs=np.zeros(0),
                      names=["a"], is_binary=np.array([False]))
     text = write_lp(model)
     assert text.startswith("Maximize\n obj: 1.0 a\nSubject To\nBounds\n")
@@ -314,6 +315,37 @@ def test_lp_round_trip_byte_identical():
         assert write_lp(reparsed) == text
         assert reparsed.num_vars == model.num_vars
         assert reparsed.num_binaries == model.num_binaries
+
+
+def test_parse_lp_reproduces_the_rows():
+    """parse_lp(write_lp(model)) holds model's A, relation and rhs, its
+    columns permuted as its names say, for encoder models with and without
+    stable neurons eliminated and for a minimize model with a >= row."""
+    from prunemip.encode import MipModel
+
+    models = []
+    for seed in range(4):
+        net = random_net(620 + seed)
+        box = unit_box(net.input_dim)
+        model = encode_network(net, box, interval_bounds(net, box), eliminate_stable=seed % 2 == 0)
+        model.objective[model.output_vars[-1]] = 1.0
+        models.append(model)
+    models.append(MipModel(num_vars=3, objective_sense="minimize",
+                           objective=np.array([0.0, 2.0, -1.0]),
+                           lower=np.array([0.0, -1.0, 0.0]), upper=np.array([1.0, 4.0, np.inf]),
+                           A=np.array([[1.0, 0.0, -2.5], [0.0, 3.0, 0.0]]),
+                           relation=np.array([">=", "="]), rhs=np.array([1.0, -4.0]),
+                           names=["a", "b", "c"], is_binary=np.array([True, False, False])))
+    for model in models:
+        parsed = parse_lp(write_lp(model))
+        perm = [model.names.index(name) for name in parsed.names]
+        assert sorted(perm) == list(range(model.num_vars))
+        assert np.array_equal(parsed.A, model.A[:, perm])
+        assert np.array_equal(parsed.relation, model.relation)
+        assert np.array_equal(parsed.rhs, model.rhs)
+        assert parsed.objective_sense == model.objective_sense
+        for field in ("objective", "lower", "upper", "is_binary"):
+            assert np.array_equal(getattr(parsed, field), getattr(model, field)[perm]), field
 
 
 def test_parse_lp_requires_objective():

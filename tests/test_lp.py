@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from prunemip.lp import (
     EQ,
     GE,
     LE,
-    Constraint,
     LinearProgram,
     LpError,
     check_feasible,
@@ -22,68 +22,76 @@ INF = math.inf
 NAN = math.nan
 
 
-def lp(n, sense, c, lo, hi, cons):
+def lp(n, sense, c, lo, hi, A=None, relation=(), rhs=()):
+    """The LP with rows A x (relation) rhs; without A it has none."""
     return LinearProgram(n, sense, np.array(c, dtype=float),
-                         np.array(lo, dtype=float), np.array(hi, dtype=float), cons)
+                         np.array(lo, dtype=float), np.array(hi, dtype=float),
+                         np.zeros((0, n)) if A is None else np.array(A, dtype=float),
+                         list(relation), np.array(rhs, dtype=float))
 
 
 def test_single_active_bound():
-    sol = solve_lp(lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 5.0)]))
+    sol = solve_lp(lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [5.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_empty_feasible_set():
-    cons = [Constraint({0: 1.0}, LE, 1.0), Constraint({0: 1.0}, GE, 2.0)]
-    assert solve_lp(lp(1, "maximize", [1], [0], [INF], cons)).status == "infeasible"
+    rows = [[1.0], [1.0]], [LE, GE], [1.0, 2.0]
+    assert solve_lp(lp(1, "maximize", [1], [0], [INF], *rows)).status == "infeasible"
+    first = [part[:1] for part in rows]
     for bound in (INF, -INF):  # no real x has x >= inf, or x <= -inf
-        assert solve_lp(lp(1, "maximize", [1], [bound], [bound], cons[:1])).status == "infeasible"
+        assert solve_lp(lp(1, "maximize", [1], [bound], [bound], *first)).status == "infeasible"
 
 
 def test_separable_box_maximum():
-    cons = [Constraint({0: 1.0}, LE, 1.0), Constraint({1: 1.0}, LE, 2.0)]
-    sol = solve_lp(lp(2, "maximize", [1, 1], [0, 0], [INF, INF], cons))
+    sol = solve_lp(lp(2, "maximize", [1, 1], [0, 0], [INF, INF], np.eye(2), [LE, LE], [1.0, 2.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_unbounded():
-    sol = solve_lp(lp(1, "maximize", [1], [0], [INF], []))
+    sol = solve_lp(lp(1, "maximize", [1], [0], [INF]))
     assert sol.status == "unbounded"
 
 
 def test_minimize_sense():
-    sol = solve_lp(lp(1, "minimize", [1], [-3], [7], []))
+    sol = solve_lp(lp(1, "minimize", [1], [-3], [7]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_equality_constraint():
-    cons = [Constraint({0: 1.0, 1: 1.0}, EQ, 4.0)]
-    sol = solve_lp(lp(2, "maximize", [2, 1], [0, 0], [3, INF], cons))
+    sol = solve_lp(lp(2, "maximize", [2, 1], [0, 0], [3, INF], [[1.0, 1.0]], [EQ], [4.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(7.0, abs=1e-9)  # x=3, y=1
 
 
 def test_malformed_dimensions_rejected():
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1, 2], [0], [1], []))
+        solve_lp(lp(1, "maximize", [1, 2], [0], [1]))
+    with pytest.raises(LpError, match="shapes"):  # a row longer than num_vars
+        solve_lp(lp(1, "maximize", [1], [0], [1], [[0.0, 0.0, 0.0, 1.0]], [LE], [0.0]))
+    with pytest.raises(LpError, match="shapes"):  # a row shorter than num_vars
+        solve_lp(lp(2, "maximize", [1, 1], [0, 0], [1, 1], [[1.0]], [LE], [0.0]))
+    with pytest.raises(LpError, match="shapes"):  # a relation without a row
+        solve_lp(lp(1, "maximize", [1], [0], [1], [[1.0]], [LE, LE], [0.0]))
+    with pytest.raises(LpError, match="shapes"):  # a row without a right-hand side
+        check_feasible(lp(1, "maximize", [1], [0], [1], [[1.0]], [LE]), [0.0])
+    with pytest.raises(LpError, match="unknown relation '<'"):
+        solve_lp(lp(1, "maximize", [1], [0], [1], [[1.0]], ["<"], [0.0]))
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [1], [Constraint({3: 1.0}, LE, 0.0)]))
-    with pytest.raises(LpError):  # would wrap around as a numpy index
-        solve_lp(lp(2, "maximize", [1, 1], [0, 0], [1, 1], [Constraint({-1: 1.0}, LE, 0.0)]))
-    with pytest.raises(LpError):
-        solve_lp(lp(1, "sideways", [1], [0], [1], []))
+        solve_lp(lp(1, "sideways", [1], [0], [1]))
 
 
 def test_nan_bound_rejected():
     for lo, hi in ((NAN, 1.0), (0.0, NAN)):
         with pytest.raises(LpError):
-            solve_lp(lp(1, "maximize", [1], [lo], [hi], []))
+            solve_lp(lp(1, "maximize", [1], [lo], [hi]))
     with pytest.raises(LpError):  # the LP text "nan <= x <= 1.0"
         solve_lp(parse_lp("Maximize\n obj: 1.0 x\nSubject To\nBounds\n nan <= x <= 1.0\nEnd\n"))
-    assert solve_lp(lp(1, "maximize", [1], [0], [INF], [])).status == "unbounded"
+    assert solve_lp(lp(1, "maximize", [1], [0], [INF])).status == "unbounded"
 
 
 def test_variable_without_finite_lower_bound_rejected():
@@ -91,7 +99,7 @@ def test_variable_without_finite_lower_bound_rejected():
     upper-only variable is malformed input, in an LP as in LP text."""
     for lo, hi in ((-INF, INF), (-INF, 1.0)):
         with pytest.raises(LpError, match="variable 1 has no finite lower bound"):
-            solve_lp(lp(2, "maximize", [1, 1], [0, lo], [1, hi], [Constraint({1: 1.0}, LE, 0.0)]))
+            solve_lp(lp(2, "maximize", [1, 1], [0, lo], [1, hi], [[0.0, 1.0]], [LE], [0.0]))
     for bound in (" y free", " y <= 1.0"):
         with pytest.raises(LpError):
             solve_lp(parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\nBounds\n{bound}\nEnd\n"))
@@ -100,19 +108,19 @@ def test_variable_without_finite_lower_bound_rejected():
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 def test_non_finite_objective_rejected(value):
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [value], [0], [1], []))
+        solve_lp(lp(1, "maximize", [value], [0], [1]))
 
 
 @pytest.mark.parametrize("value", [NAN, INF])
 def test_non_finite_coefficient_or_rhs_rejected(value):
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [INF], [Constraint({0: value}, LE, 1.0)]))
+        solve_lp(lp(1, "maximize", [1], [0], [INF], [[value]], [LE], [1.0]))
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, value)]))
+        solve_lp(lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [value]))
 
 
 def test_check_feasible_boundary_and_violation():
-    problem = lp(1, "maximize", [1], [-INF], [INF], [Constraint({0: 1.0}, LE, 5.0)])
+    problem = lp(1, "maximize", [1], [-INF], [INF], [[1.0]], [LE], [5.0])
     assert check_feasible(problem, [5.0], 1e-9)
     assert not check_feasible(problem, [5.0 + 1e-3], 1e-9)
     with pytest.raises(LpError):
@@ -121,14 +129,13 @@ def test_check_feasible_boundary_and_violation():
     for relation, inside, outside in ((LE, [0.5], [2.0]), (GE, [-0.5], [-2.0]),
                                       (EQ, [0.5, -0.5], [2.0, -2.0])):
         # x0 + 2 x1 (relation) 5 at the boundary point (1, 2), moved along x0
-        problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF],
-                     [Constraint({0: 1.0, 1: 2.0}, relation, 5.0)])
+        problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF], [[1.0, 2.0]], [relation], [5.0])
         for step in inside:
             assert check_feasible(problem, [1.0 + step * tol, 2.0], tol), (relation, step)
         for step in outside:
             assert not check_feasible(problem, [1.0 + step * tol, 2.0], tol), (relation, step)
     # only a variable bound is violated: x0 in [0, 4], the row x0 + x1 = 4 holds
-    problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF], [Constraint({0: 1.0, 1: 1.0}, EQ, 4.0)])
+    problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF], [[1.0, 1.0]], [EQ], [4.0])
     for x0, feasible in ((4.0 + 0.5 * tol, True), (4.0 + 2 * tol, False),
                          (-0.5 * tol, True), (-2 * tol, False)):
         assert check_feasible(problem, [x0, 4.0 - x0], tol) == feasible, x0
@@ -136,10 +143,10 @@ def test_check_feasible_boundary_and_violation():
 
 def test_check_feasible_rejects_non_finite_point():
     """NaN fails every comparison and inf passes [0, inf): neither is a point."""
-    boxed = lp(2, "maximize", [1, 1], [0, 0], [1, 1], [Constraint({0: 1.0, 1: 1.0}, LE, 2.0)])
+    boxed = lp(2, "maximize", [1, 1], [0, 0], [1, 1], [[1.0, 1.0]], [LE], [2.0])
     assert check_feasible(boxed, [0.5, 0.5])
     assert not check_feasible(boxed, [NAN, 0.5])
-    half_line = lp(1, "maximize", [1], [0], [INF], [])
+    half_line = lp(1, "maximize", [1], [0], [INF])
     assert check_feasible(half_line, [1e300])
     for value in (INF, -INF, NAN):
         assert not check_feasible(half_line, [value])
@@ -153,14 +160,14 @@ def _random_lp(seed):
     lo = np.where(rng.random(n) < 0.8, rng.uniform(-3, 0, n), -3.0)  # 1 in 5 at the range's end
     hi = np.where(rng.random(n) < 0.8, rng.uniform(0, 3, n), INF)
     hi = np.maximum(hi, lo)
-    cons = []
-    for _ in range(m):
-        coeffs = {j: float(rng.normal()) for j in rng.choice(n, rng.integers(1, n + 1),
-                                                             replace=False)}
-        rel = (LE, GE, EQ)[int(rng.integers(3))]
-        cons.append(Constraint(coeffs, rel, float(rng.normal())))
+    A, relation, rhs = np.zeros((m, n)), [], []
+    for row in A:
+        for j in rng.choice(n, rng.integers(1, n + 1), replace=False):
+            row[j] = rng.normal()
+        relation.append((LE, GE, EQ)[int(rng.integers(3))])
+        rhs.append(float(rng.normal()))
     sense = "maximize" if rng.random() < 0.5 else "minimize"
-    return lp(n, sense, c, lo, hi, cons)
+    return lp(n, sense, c, lo, hi, A, relation, rhs)
 
 
 def test_solutions_round_trip_check_feasible():
@@ -174,8 +181,8 @@ def test_solutions_round_trip_check_feasible():
     assert optimal > 20  # the generator must exercise the optimal path
 
 
-def _vertices(lo, hi, cons):
-    """All vertices of a bounded polytope given by bounds + inequality rows."""
+def _vertices(lo, hi, A, relation, rhs):
+    """All vertices of a bounded polytope given by bounds + rows."""
     n = len(lo)
     rows = []
     for j in range(n):
@@ -183,17 +190,14 @@ def _vertices(lo, hi, cons):
         e[j] = 1.0
         rows.append((e, lo[j], hi[j], "bound"))
     halfspaces = []  # (a, b) meaning a.x <= b
-    for con in cons:
-        a = np.zeros(n)
-        for j, v in con.coeffs.items():
-            a[j] = v
-        if con.relation == LE:
-            halfspaces.append((a, con.rhs))
-        elif con.relation == GE:
-            halfspaces.append((-a, -con.rhs))
+    for a, rel, b in zip(A, relation, rhs):
+        if rel == LE:
+            halfspaces.append((a, b))
+        elif rel == GE:
+            halfspaces.append((-a, -b))
         else:
-            halfspaces.append((a, con.rhs))
-            halfspaces.append((-a, -con.rhs))
+            halfspaces.append((a, b))
+            halfspaces.append((-a, -b))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -220,15 +224,14 @@ def test_vertex_enumeration_oracle():
         n = int(rng.integers(2, 5))
         lo = rng.uniform(-2, 0, n)
         hi = rng.uniform(0.5, 2.5, n)
-        cons = [
-            Constraint({j: float(rng.normal()) for j in range(n)},
-                       LE, float(rng.uniform(0.5, 2.0)))
-            for _ in range(int(rng.integers(1, 4)))
-        ]
+        A, rhs = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            A.append(rng.normal(size=n))
+            rhs.append(float(rng.uniform(0.5, 2.0)))
         c = rng.normal(size=n)
-        problem = lp(n, "maximize", c, lo, hi, cons)
+        problem = lp(n, "maximize", c, lo, hi, A, [LE] * len(rhs), rhs)
         sol = solve_lp(problem)
-        verts = _vertices(lo, hi, cons)
+        verts = _vertices(lo, hi, problem.A, problem.relation, problem.rhs)
         if not verts:
             assert sol.status == "infeasible"
             continue
@@ -250,8 +253,7 @@ def test_determinism_bit_identical():
 
 
 def test_degenerate_fixed_variable():
-    cons = [Constraint({0: 1.0, 1: 1.0}, LE, 10.0)]
-    sol = solve_lp(lp(2, "maximize", [1, 1], [2, 0], [2, 5], cons))
+    sol = solve_lp(lp(2, "maximize", [1, 1], [2, 0], [2, 5], [[1.0, 1.0]], [LE], [10.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(7.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(2.0, abs=1e-9)
@@ -260,10 +262,10 @@ def test_degenerate_fixed_variable():
 def test_warm_start_without_constraint_rows():
     """An LP with no rows ends with an empty basis, and its child still
     re-optimises from it."""
-    parent = lp(2, "maximize", [1, -1], [0, 0], [1, 1], [])
+    parent = lp(2, "maximize", [1, -1], [0, 0], [1, 1])
     state = solve_lp(parent)
     assert state.objective == 1.0 and state.basis.size == 0
-    child = lp(2, "maximize", [1, -1], [0, 0], [0.5, 1], [])
+    child = lp(2, "maximize", [1, -1], [0, 0], [0.5, 1])
     sol = solve_lp(child, warm=state)
     assert sol.warm
     assert sol.status == "optimal"
@@ -275,13 +277,12 @@ def test_redundant_equality_keeps_a_basis():
     width-0 logical stays basic at 0, so the optimum still carries a basis.
     With f fixed at 1 the rows contradict each other, which the warm solve
     proves from that basis, as the cold solve does."""
-    cons = [Constraint({0: 1.0, 1: 1.0}, EQ, 1.0),
-            Constraint({0: 2.0, 1: 2.0, 2: 1.0}, EQ, 2.0)]
-    state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], cons))
+    rows = [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], [EQ, EQ], [1.0, 2.0]
+    state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], *rows))
     assert state.status == "optimal" and state.objective == pytest.approx(1.0, abs=1e-9)
     assert state.basis.size == 2
     assert 3 + 1 in state.basis  # the second row's logical
-    child = lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], cons)
+    child = lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], *rows)
     sol = solve_lp(child, warm=state)
     assert sol.status == "infeasible" and sol.warm
     assert solve_lp(child).status == "infeasible"
@@ -289,23 +290,47 @@ def test_redundant_equality_keeps_a_basis():
 
 def test_warm_state_from_other_constraints_rejected():
     """max x with x <= 2 and with x <= 7 have the same shape; the state of
-    the first would give the second 2, not 7. An equal constraint list,
-    not only the same one, serves. A solve without an optimum leaves no
-    state to start from."""
-    a = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 2.0)])
-    b = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, LE, 7.0)])
+    the first would give the second 2, not 7. So would x >= 2, the same A
+    and rhs under another relation. The same A, relation and rhs objects
+    serve, and so do equal ones. A solve without an optimum leaves no state
+    to start from."""
+    a = lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [2.0])
+    b = lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [7.0])
     state = solve_lp(a)
     with pytest.raises(LpError, match="other constraints"):
         solve_lp(b, warm=state)
     assert solve_lp(b).objective == pytest.approx(7.0, abs=1e-9)
-    again = lp(1, "maximize", [1], [0], [1.5], [Constraint({0: 1.0}, LE, 2.0)])
-    assert again.constraints is not a.constraints
+    ge = replace(a, relation=[GE])
+    with pytest.raises(LpError, match="other constraints"):
+        solve_lp(ge, warm=state)
+    sol = solve_lp(replace(a, upper=np.array([1.5])), warm=state)
+    assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)
+    again = lp(1, "maximize", [1], [0], [1.5], [[1.0]], [LE], [2.0])
+    assert again.A is not a.A and again.relation is not a.relation and again.rhs is not a.rhs
     sol = solve_lp(again, warm=state)
     assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)
     for relation, status in ((LE, "infeasible"), (GE, "unbounded")):
         # x <= -1 has no point with x >= 0; max x with x >= -1 has no optimum
-        failed = lp(1, "maximize", [1], [0], [INF], [Constraint({0: 1.0}, relation, -1.0)])
+        failed = lp(1, "maximize", [1], [0], [INF], [[1.0]], [relation], [-1.0])
         state = solve_lp(failed)
         assert state.status == status
         with pytest.raises(LpError, match=status):
             solve_lp(failed, warm=state)
+
+
+def test_row_view_reads_the_arrays():
+    """LinearProgram.constraints yields Row(A[i], relation[i], rhs[i]) per
+    row, and its coefficient rows cannot write to A."""
+    problem = lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 1],
+                 [[1.0, 0.0, -2.0], [0.0, 3.0, 0.0]], [GE, EQ], [1.0, 4.0])
+    rows = problem.constraints
+    assert len(rows) == 2
+    for row, a, relation, rhs in zip(rows, problem.A, problem.relation, problem.rhs):
+        coeffs, rel, b = row
+        assert np.array_equal(coeffs, a) and coeffs is row.coeffs
+        assert rel == row.relation == relation and b == row.rhs == rhs
+        with pytest.raises(ValueError):
+            coeffs[0] = 5.0
+    assert [row.relation for row in rows] == [GE, EQ]
+    assert problem.A[0, 0] == 1.0
+    assert lp(2, "maximize", [1, 1], [0, 0], [1, 1]).constraints == ()

@@ -11,7 +11,7 @@ import pytest
 
 import prunemip.lp as lp_mod
 from prunemip.encode import encode_adversarial
-from prunemip.lp import EQ, GE, LE, Constraint, LinearProgram, check_feasible, solve_lp
+from prunemip.lp import EQ, GE, LE, LinearProgram, check_feasible, solve_lp
 from prunemip.nn import forward, init_mlp
 from prunemip.verify import runner_up
 
@@ -27,24 +27,15 @@ def highs(problem):
     """(status, objective) of the same LP solved by HiGHS."""
     n = problem.num_vars
     sign = -1.0 if problem.objective_sense == "maximize" else 1.0
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for con in problem.constraints:
-        row = np.zeros(n)
-        for j, a in con.coeffs.items():
-            row[j] += a
-        if con.relation == EQ:
-            eq_rows.append(row)
-            eq_rhs.append(con.rhs)
-        else:
-            flip = -1.0 if con.relation == GE else 1.0
-            ub_rows.append(flip * row)
-            ub_rhs.append(flip * con.rhs)
+    relation = np.asarray(problem.relation)
+    eq = relation == EQ
+    flip = np.where(relation == GE, -1.0, 1.0)  # a >= row as a <= row
+    A_ub, b_ub = (flip[:, None] * problem.A)[~eq], (flip * problem.rhs)[~eq]
     bounds = [(None if lo == -INF else lo, None if hi == INF else hi)
               for lo, hi in zip(problem.lower, problem.upper)]
-    kwargs = dict(A_ub=np.array(ub_rows).reshape(-1, n) if ub_rows else None,
-                  b_ub=ub_rhs or None,
-                  A_eq=np.array(eq_rows).reshape(-1, n) if eq_rows else None,
-                  b_eq=eq_rhs or None, bounds=bounds, method="highs")
+    kwargs = dict(A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                  A_eq=problem.A[eq] if eq.any() else None,
+                  b_eq=problem.rhs[eq] if eq.any() else None, bounds=bounds, method="highs")
     res = linprog(sign * np.asarray(problem.objective, dtype=float), **kwargs)
     if res.status == 0:
         return "optimal", sign * res.fun
@@ -78,13 +69,14 @@ def random_lp(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     lo, hi = _bounds(rng, n)
-    cons = []
-    for _ in range(int(rng.integers(1, 2 * n))):
+    A, relation, rhs = np.zeros((int(rng.integers(1, 2 * n)), n)), [], []
+    for row in A:
         cols = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
-        cons.append(Constraint({int(j): float(rng.normal()) for j in cols},
-                               (LE, GE, EQ)[int(rng.integers(3))], float(rng.normal())))
+        row[cols] = rng.normal(size=cols.size)
+        relation.append((LE, GE, EQ)[int(rng.integers(3))])
+        rhs.append(float(rng.normal()))
     sense = ("maximize", "minimize")[int(rng.integers(2))]
-    return LinearProgram(n, sense, rng.normal(size=n), lo, hi, cons)
+    return LinearProgram(n, sense, rng.normal(size=n), lo, hi, A, relation, np.array(rhs))
 
 
 def degenerate_lp(seed):
@@ -96,14 +88,17 @@ def degenerate_lp(seed):
     v = lo.copy()
     boxed = np.isfinite(hi)
     v[boxed] = np.round(0.5 * (lo[boxed] + hi[boxed]), 1)
-    cons = []
+    A, relation, rhs = [], [], []
     for _ in range(int(rng.integers(n, 3 * n))):
         a = np.round(rng.normal(size=n), 1)
         rel = EQ if rng.random() < 0.2 else (LE, GE)[int(rng.integers(2))]
-        con = Constraint({j: float(a[j]) for j in range(n) if a[j] != 0.0}, rel, float(a @ v))
-        cons += [con] * int(rng.integers(1, 3))
+        copies = int(rng.integers(1, 3))
+        A += [a] * copies
+        relation += [rel] * copies
+        rhs += [float(a @ v)] * copies
     sense = ("maximize", "minimize")[int(rng.integers(2))]
-    return LinearProgram(n, sense, np.round(rng.normal(size=n), 1), lo, hi, cons)
+    return LinearProgram(n, sense, np.round(rng.normal(size=n), 1), lo, hi, np.array(A),
+                         relation, np.array(rhs))
 
 
 def test_random_lps_match_highs():
@@ -340,18 +335,18 @@ def test_bound_flips_count_toward_iteration_limit(monkeypatch):
     flips, which count toward the limit as iterations."""
     n = 6
     problem = LinearProgram(n, "maximize", np.zeros(n), np.zeros(n), np.ones(n),
-                            [Constraint({j: 1.0 for j in range(n)}, EQ, float(n))])
+                            np.ones((1, n)), [EQ], np.array([float(n)]))
     sol = solve_lp(problem)
     assert sol.status == "optimal"
     assert np.allclose(sol.primal, 1.0)
     assert (sol.pivots, sol.bound_flips) == (1, 5)
 
     rows = LinearProgram(n, "maximize", np.zeros(n), np.zeros(n), np.full(n, 2.0),
-                         [Constraint({j: 1.0}, EQ, 1.0) for j in range(n)])
+                         np.eye(n), [EQ] * n, np.ones(n))
     assert solve_lp(rows).pivots == n
     cone = LinearProgram(n + 1, "maximize", np.eye(n + 1)[0], np.zeros(n + 1),
-                         np.r_[INF, np.ones(n)],
-                         [Constraint({0: 1.0, **{j: -1.0 for j in range(1, n + 1)}}, LE, 0.0)])
+                         np.r_[INF, np.ones(n)], np.r_[1.0, -np.ones(n)][None, :], [LE],
+                         np.zeros(1))
     sol = solve_lp(cone)
     assert sol.objective == pytest.approx(n, abs=1e-9)
     assert (sol.pivots, sol.bound_flips) == (1, n)
