@@ -1,7 +1,8 @@
 """Branch-and-bound maximization over the encoder's models.
 
-A model is its own LP relaxation, solved by the bounded-variable simplex
-kernel, where a variable bound costs no tableau row. An open node is one
+A model is its own LP relaxation, solved by the bounded dual simplex
+kernel, where a variable bound costs no tableau row; every column of the
+model needs a finite lower and upper bound. An open node is one
 record of its bounds and its parent's LP solution: (-parent LP bound, tie
 counter, depth, lower, upper, parent solution) on a single heap, so the
 search is best-first over LP bounds from the root on. A node LP is the model
@@ -18,7 +19,7 @@ model that carries its network, the forward pass from the LP point's inputs
 gives a primal candidate. A node is pruned once its bound exceeds the
 incumbent by no more than ABS_GAP; the time limit is the only setting. A
 node whose LP gives neither an optimum nor a proof of infeasibility
-(status unbounded or iteration-limit) keeps its parent's bound: it is
+(status iteration-limit) keeps its parent's bound: it is
 dropped and counted, and the search then ends `lp-failed`, never
 `optimal`.
 Single-threaded, deterministic node accounting.
@@ -169,15 +170,17 @@ def brute_force_verify(mlp, box, k, h, max_unstable=20):
     for bits in itertools.product((False, True), repeat=len(unstable)):
         pattern = dict(forced)
         pattern.update(zip(unstable, bits))
-        sol = _pattern_lp(mlp, box, k, h, pattern)
+        sol = _pattern_lp(mlp, box, k, h, pattern, bounds.hi)
         if sol.status == "optimal" and sol.objective > best:
             best = sol.objective
     return best
 
 
-def _pattern_lp(mlp, box, k, h, pattern):
+def _pattern_lp(mlp, box, k, h, pattern, hi):
     """The LP of one activation pattern: a column per input and per hidden
-    neuron's output a, and one row per hidden neuron."""
+    neuron's output a, and one row per hidden neuron. An active neuron's a
+    lies in [0, hi], hi its interval upper bound per layer; an inactive
+    one's is 0."""
     d = box.dim
     nv = d + sum(W.shape[0] for W, _ in mlp.layers[:-1])
     A = np.zeros((nv - d, nv))
@@ -191,7 +194,7 @@ def _pattern_lp(mlp, box, k, h, pattern):
         # active: a = W.prev + b, a >= 0; inactive: a = 0, W.prev + b <= 0
         A[np.ix_(cols - d, prev)] = np.where(on[:, None], -W, W)
         A[cols[on] - d, cols[on]] = 1.0
-        upper[cols[on]] = math.inf
+        upper[cols[on]] = hi[li][on]
         relation += [EQ if active else LE for active in on]
         rhs += np.where(on, b, -b).tolist()
         prev, start = cols, start + cols.size

@@ -247,7 +247,8 @@ def obbt_tighten(mlp, box, deadline=None):
 
     table = interval_bounds(mlp, box)
     los, his = table.lo, table.hi
-    table.provenance[0] = "obbt"
+    if los:  # a net without hidden layers has no bounds to tighten
+        table.provenance[0] = "obbt"
     for li in range(1, len(mlp.layers) - 1):
         W, b = mlp.layers[li]
         # the encoder's own rows for layers < li; LPs ignore integrality

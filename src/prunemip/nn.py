@@ -144,8 +144,8 @@ def regularized_loss(mlp, X, y, cfg):
 
 
 def _mean_log_loss(logits, y):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=1, keepdims=True)  # less the row maximum, so exp cannot overflow
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-logp[np.arange(len(y)), y].mean())
 
 

@@ -6,8 +6,8 @@ Robust means the solver certified max(y_h - y_k) <= 0; a counterexample is
 any box point whose forward margin is positive (validated independently of
 the solver). A solve that ends without either (a positive optimum whose point
 the forward pass rejects, an infeasible model, or a search that ended
-`lp-failed` because a node LP ended unbounded or at the simplex iteration
-limit) is unknown.
+`lp-failed` because a node LP ended at the simplex iteration limit) is
+unknown.
 """
 
 import json

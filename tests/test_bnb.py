@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prunemip.lp as lp_mod
 from prunemip.bnb import ABS_GAP, SolverConfig, brute_force_verify, solve
 from prunemip.encode import (InputBox, assemble_trace, encode_adversarial, encode_network,
                              interval_bounds, parse_lp, write_lp)
-from prunemip.lp import check_feasible, solve_lp
+from prunemip.lp import LpError, check_feasible, solve_lp
 from prunemip.nn import Mlp, forward
 
 from conftest import random_net
@@ -109,20 +110,27 @@ def test_infeasible_injected_bounds():
     assert report.nodes >= 1
 
 
-def test_unbounded_relaxation_ends_lp_failed():
-    """max y subject to y - z >= 0, y >= 0, z binary: the root LP is
-    unbounded, which proves nothing about the MILP, so the search keeps the
-    root's bound (+inf) and ends lp-failed, not infeasible. The LP is proved
-    unbounded without an iteration; with y - x = 3 and x >= 0, it takes a
-    pivot first, and the failed LP's pivot is counted."""
-    text = "Maximize\n obj: 1.0 y\nSubject To\n c0: 1.0 y - 1.0 z >= 0.0\n{}Binaries\n z\nEnd\n"
-    for extra_row, pivots in (("", 0), (" c1: 1.0 y - 1.0 x = 3.0\n", 1)):
-        report = solve(parse_lp(text.format(extra_row)), SolverConfig())
-        assert report.status == "lp-failed"
-        assert report.best_bound == math.inf
-        assert report.incumbent_obj is None
-        assert report.stats["failed_lps"] == report.stats["lp_solves"] == 1
-        assert (report.stats["pivots"], report.stats["bound_flips"]) == (pivots, 0)
+def test_failed_root_lp_ends_lp_failed(monkeypatch):
+    """max y subject to y - z >= 0, y - x = 3, z binary, y and x in [0, 10]:
+    a root LP stopped by the simplex iteration limit proves nothing about
+    the MILP, so the search keeps the root's bound (+inf) and ends
+    lp-failed, not infeasible. The failed LP's work, the bound flip that
+    made its tableau dual feasible, is counted. Without an upper bound on
+    y the relaxation is malformed input: every column is boxed."""
+    text = ("Maximize\n obj: 1.0 y\nSubject To\n c0: 1.0 y - 1.0 z >= 0.0\n"
+            " c1: 1.0 y - 1.0 x = 3.0\nBounds\n {}\n 0.0 <= x <= 10.0\n"
+            "Binaries\n z\nEnd\n")
+    model = parse_lp(text.format("0.0 <= y <= 10.0"))
+    assert solve(model, SolverConfig()).status == "optimal"
+    monkeypatch.setattr(lp_mod, "_MAX_ITER", -1)
+    report = solve(model, SolverConfig())
+    assert report.status == "lp-failed"
+    assert report.best_bound == math.inf
+    assert report.incumbent_obj is None
+    assert report.stats["failed_lps"] == report.stats["lp_solves"] == 1
+    assert (report.stats["pivots"], report.stats["bound_flips"]) == (0, 1)
+    with pytest.raises(LpError, match="no finite upper bound"):
+        solve(parse_lp(text.format("y >= 0.0")), SolverConfig())
 
 
 def test_node_count_determinism():

@@ -208,6 +208,26 @@ def test_verify_keeps_interval_bounds_when_obbt_lps_fail(monkeypatch, tmp_path, 
     assert json.loads(capsys.readouterr().out)["outcome"] == "robust"
 
 
+def test_verify_and_export_lp_on_a_net_without_hidden_layers(tmp_path, capsys):
+    """A hand-written model file of one affine layer: y = (x, -x) at x = 0.5
+    is class 0, and over [0.4, 0.6] its margin -2x stays negative, so verify
+    with OBBT (the default) says robust, and export-lp writes the model."""
+    model_path, x_path = tmp_path / "affine.json", tmp_path / "x.json"
+    model_path.write_text(json.dumps({
+        "format_version": 1,
+        "layers": [{"rows": 2, "cols": 1, "weights": [1.0, -1.0], "bias": [0.0, 0.0]}],
+    }))
+    x_path.write_text("[0.5]")
+    flags = ("--model", str(model_path), "--input", str(x_path), "--label", "0",
+             "--delta", "0.1")
+    assert run_cli("verify", *flags) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outcome"] == "robust" and doc["margin"] == pytest.approx(-0.8)
+    out = tmp_path / "adv.lp"
+    assert run_cli("export-lp", *flags, "--out", str(out)) == 0
+    assert "Binaries" not in out.read_text()
+
+
 def test_verify_misclassified_exit(tmp_path, trained_model):
     net, _ = load_model(trained_model)
     x_path = tmp_path / "x.json"

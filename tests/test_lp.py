@@ -10,10 +10,12 @@ import pytest
 from prunemip.encode import parse_lp
 from prunemip.lp import (
     EQ,
+    FEAS_TOL,
     GE,
     LE,
     LinearProgram,
     LpError,
+    LpSolution,
     check_feasible,
     solve_lp,
 )
@@ -31,7 +33,7 @@ def lp(n, sense, c, lo, hi, A=None, relation=(), rhs=()):
 
 
 def test_single_active_bound():
-    sol = solve_lp(lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [5.0]))
+    sol = solve_lp(lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [5.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(5.0, abs=1e-9)
@@ -39,21 +41,23 @@ def test_single_active_bound():
 
 def test_empty_feasible_set():
     rows = [[1.0], [1.0]], [LE, GE], [1.0, 2.0]
-    assert solve_lp(lp(1, "maximize", [1], [0], [INF], *rows)).status == "infeasible"
+    assert solve_lp(lp(1, "maximize", [1], [0], [10], *rows)).status == "infeasible"
     first = [part[:1] for part in rows]
     for bound in (INF, -INF):  # no real x has x >= inf, or x <= -inf
         assert solve_lp(lp(1, "maximize", [1], [bound], [bound], *first)).status == "infeasible"
 
 
 def test_separable_box_maximum():
-    sol = solve_lp(lp(2, "maximize", [1, 1], [0, 0], [INF, INF], np.eye(2), [LE, LE], [1.0, 2.0]))
+    sol = solve_lp(lp(2, "maximize", [1, 1], [0, 0], [10, 10], np.eye(2), [LE, LE], [1.0, 2.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_unbounded():
-    sol = solve_lp(lp(1, "maximize", [1], [0], [INF]))
-    assert sol.status == "unbounded"
+    """max x over x >= 0 has no optimum, and solve_lp takes no variable
+    without a finite upper bound."""
+    with pytest.raises(LpError, match="variable 0 has no finite upper bound"):
+        solve_lp(lp(1, "maximize", [1], [0], [INF]))
 
 
 def test_minimize_sense():
@@ -63,7 +67,7 @@ def test_minimize_sense():
 
 
 def test_equality_constraint():
-    sol = solve_lp(lp(2, "maximize", [2, 1], [0, 0], [3, INF], [[1.0, 1.0]], [EQ], [4.0]))
+    sol = solve_lp(lp(2, "maximize", [2, 1], [0, 0], [3, 10], [[1.0, 1.0]], [EQ], [4.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(7.0, abs=1e-9)  # x=3, y=1
 
@@ -91,18 +95,54 @@ def test_nan_bound_rejected():
             solve_lp(lp(1, "maximize", [1], [lo], [hi]))
     with pytest.raises(LpError):  # the LP text "nan <= x <= 1.0"
         solve_lp(parse_lp("Maximize\n obj: 1.0 x\nSubject To\nBounds\n nan <= x <= 1.0\nEnd\n"))
-    assert solve_lp(lp(1, "maximize", [1], [0], [INF])).status == "unbounded"
+    with pytest.raises(LpError, match="no finite upper bound"):  # inf is a bound, not NaN
+        solve_lp(lp(1, "maximize", [1], [0], [INF]))
 
 
-def test_variable_without_finite_lower_bound_rejected():
-    """solve_lp shifts every variable by its lower bound: a free or an
-    upper-only variable is malformed input, in an LP as in LP text."""
-    for lo, hi in ((-INF, INF), (-INF, 1.0)):
-        with pytest.raises(LpError, match="variable 1 has no finite lower bound"):
-            solve_lp(lp(2, "maximize", [1, 1], [0, lo], [1, hi], [[0.0, 1.0]], [LE], [0.0]))
-    for bound in (" y free", " y <= 1.0"):
-        with pytest.raises(LpError):
+# per side: (lower, upper) of variable 1 for an LP, and the bound lines of
+# LP text, without a finite bound on that side
+UNBOXED = {"lower": (((-INF, INF), (-INF, 1.0)), (" y free", " y <= 1.0")),
+           "upper": (((0.0, INF),), (" y >= 0.0",))}
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_variable_without_finite_bound_rejected(side):
+    """Every column is boxed: a free variable, or one without a finite
+    lower or upper bound, is malformed input, cold, as a warm child of a
+    boxed parent, and in LP text."""
+    pairs, lines = UNBOXED[side]
+    rows = [[0.0, 1.0]], [LE], [0.0]
+    parent = lp(2, "maximize", [1, 1], [0, 0], [1, 1], *rows)
+    state = solve_lp(parent)
+    assert state.status == "optimal"
+    for lo, hi in pairs:
+        child = lp(2, "maximize", [1, 1], [0, lo], [1, hi], *rows)
+        for warm in (None, state):
+            with pytest.raises(LpError, match=f"variable 1 has no finite {side} bound"):
+                solve_lp(child, warm=warm)
+    for bound in lines:
+        with pytest.raises(LpError, match=f"no finite {side} bound"):
             solve_lp(parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\nBounds\n{bound}\nEnd\n"))
+
+
+def test_row_whose_least_activity_exceeds_its_rhs_is_infeasible():
+    """x0 - x1 <= rhs over x0 in [1, 2], x1 in [0, 1]: the row's least
+    activity is 0. Above FEAS_TOL it exceeds rhs = -1, so no point fits,
+    cold or warm; within FEAS_TOL the row's logical is fixed at 0 and the
+    one point fits."""
+    bounds = [1, 0], [2, 1]
+    parent = lp(2, "maximize", [1, 1], *bounds, [[1.0, -1.0]], [LE], [1.0])
+    state = solve_lp(parent)
+    assert state.status == "optimal" and state.objective == pytest.approx(3.0, abs=1e-9)
+    for rhs in (-1.0, -2 * FEAS_TOL):
+        problem = replace(parent, rhs=np.array([rhs]))
+        assert solve_lp(problem).status == "infeasible"
+    child = replace(parent, upper=np.array([2.0, 0.5]), lower=np.array([1.6, 0.0]))
+    sol = solve_lp(child, warm=state)  # least activity 1.6 - 0.5 > 1
+    assert sol.warm and sol.status == "infeasible"
+    sol = solve_lp(replace(parent, rhs=np.array([-0.5 * FEAS_TOL])))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.primal, [1.0, 1.0]) and sol.objective == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
@@ -114,9 +154,9 @@ def test_non_finite_objective_rejected(value):
 @pytest.mark.parametrize("value", [NAN, INF])
 def test_non_finite_coefficient_or_rhs_rejected(value):
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [INF], [[value]], [LE], [1.0]))
+        solve_lp(lp(1, "maximize", [1], [0], [10], [[value]], [LE], [1.0]))
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [value]))
+        solve_lp(lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [value]))
 
 
 def test_check_feasible_boundary_and_violation():
@@ -158,7 +198,7 @@ def _random_lp(seed):
     m = int(rng.integers(1, 2 * n))
     c = rng.normal(size=n)
     lo = np.where(rng.random(n) < 0.8, rng.uniform(-3, 0, n), -3.0)  # 1 in 5 at the range's end
-    hi = np.where(rng.random(n) < 0.8, rng.uniform(0, 3, n), INF)
+    hi = np.where(rng.random(n) < 0.8, rng.uniform(0, 3, n), 3.0)
     hi = np.maximum(hi, lo)
     A, relation, rhs = np.zeros((m, n)), [], []
     for row in A:
@@ -294,8 +334,8 @@ def test_warm_state_from_other_constraints_rejected():
     and rhs under another relation. The same A, relation and rhs objects
     serve, and so do equal ones. A solve without an optimum leaves no state
     to start from."""
-    a = lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [2.0])
-    b = lp(1, "maximize", [1], [0], [INF], [[1.0]], [LE], [7.0])
+    a = lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [2.0])
+    b = lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [7.0])
     state = solve_lp(a)
     with pytest.raises(LpError, match="other constraints"):
         solve_lp(b, warm=state)
@@ -309,12 +349,10 @@ def test_warm_state_from_other_constraints_rejected():
     assert again.A is not a.A and again.relation is not a.relation and again.rhs is not a.rhs
     sol = solve_lp(again, warm=state)
     assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)
-    for relation, status in ((LE, "infeasible"), (GE, "unbounded")):
-        # x <= -1 has no point with x >= 0; max x with x >= -1 has no optimum
-        failed = lp(1, "maximize", [1], [0], [INF], [[1.0]], [relation], [-1.0])
-        state = solve_lp(failed)
-        assert state.status == status
-        with pytest.raises(LpError, match=status):
+    failed = lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [-1.0])  # x <= -1, x >= 0
+    for state in (solve_lp(failed), LpSolution("iteration-limit")):
+        assert state.status in ("infeasible", "iteration-limit")
+        with pytest.raises(LpError, match=state.status):
             solve_lp(failed, warm=state)
 
 

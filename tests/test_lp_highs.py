@@ -1,6 +1,7 @@
-"""solve_lp against HiGHS (scipy.optimize.linprog) on random LPs that mix the
-bound kinds solve_lp takes and every relation, on their children solved warm
-from the parent's basis, and on the encoder's adversarial LP relaxations."""
+"""solve_lp against HiGHS (scipy.optimize.linprog) on random LPs that mix
+boxed and fixed variables with every relation, on their children solved
+warm from the parent's basis, and on the encoder's adversarial LP
+relaxations."""
 
 import math
 from collections import Counter
@@ -11,16 +12,18 @@ import pytest
 
 import prunemip.lp as lp_mod
 from prunemip.encode import encode_adversarial
-from prunemip.lp import EQ, GE, LE, LinearProgram, check_feasible, solve_lp
+from prunemip.lp import EQ, GE, LE, LinearProgram, LpError, check_feasible, solve_lp
 from prunemip.nn import forward, init_mlp
 from prunemip.verify import runner_up
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 INF = math.inf
-# a draw picks one of five entries; solve_lp needs a finite lower bound, so
-# the boxed and the lower-bounded kind take two entries each
-BOUND_KINDS = ("boxed", "lower", "boxed", "lower", "fixed")
+# a draw picks one of five entries; solve_lp needs finite bounds, so the
+# boxed and the wide kind take two entries each: a wide variable's upper
+# bound lies 10 above its lower one, where a loose bound leaves its rows'
+# logicals the room
+BOUND_KINDS = ("boxed", "wide", "boxed", "wide", "fixed")
 
 
 def highs(problem):
@@ -59,13 +62,13 @@ def _bounds(rng, n):
     for j in range(n):
         kind = BOUND_KINDS[int(rng.integers(len(BOUND_KINDS)))]
         a, b = sorted(rng.uniform(-3, 3, 2))
-        lo[j], hi[j] = {"boxed": (a, b), "lower": (a, INF), "fixed": (a, a)}[kind]
+        lo[j], hi[j] = {"boxed": (a, b), "wide": (a, a + 10.0), "fixed": (a, a)}[kind]
     return lo, hi
 
 
 def random_lp(seed):
-    """Random relations and right-hand sides: optimal, infeasible and
-    unbounded LPs all occur."""
+    """Random relations and right-hand sides: optimal and infeasible LPs
+    both occur."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     lo, hi = _bounds(rng, n)
@@ -103,7 +106,7 @@ def degenerate_lp(seed):
 
 def test_random_lps_match_highs():
     seen = {assert_matches_highs(random_lp(seed)) for seed in range(300)}
-    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert seen == {"optimal", "infeasible"}
 
 
 def test_degenerate_lps_match_highs():
@@ -133,33 +136,19 @@ def warm_children(problem, point, seed):
     yield replace(problem, objective=rng.normal(size=problem.num_vars))
 
 
-def test_warm_children_match_cold_and_highs(monkeypatch):
-    """Warm solves agree with the cold solve and with HiGHS, and none restarts
-    cold. A child that differs from its parent only in bounds keeps the
-    parent's reduced costs, so where it is solved warm the dual simplex alone
-    reaches the optimum and the primal phase 2 after it makes no iteration;
-    a new objective may need phase 2."""
-    primal_iterations = []
-    run_simplex = lp_mod._run_simplex
-
-    def counting(T, basis, ub, flipped, bland_after, tally):
-        before = sum(tally.values())
-        status = run_simplex(T, basis, ub, flipped, bland_after, tally)
-        primal_iterations.append(sum(tally.values()) - before)
-        return status
-
-    monkeypatch.setattr(lp_mod, "_run_simplex", counting)
+def test_warm_children_match_cold_and_highs():
+    """Every child, the one with a new objective included, is solved warm,
+    and agrees with the cold solve and with HiGHS: the dual simplex
+    reaches each optimum from the parent's basis once the columns whose
+    reduced costs have the wrong sign are flipped."""
     seen = Counter()
     for seed in range(300):
         for parent in (random_lp(seed), degenerate_lp(seed)):
             state = solve_lp(parent)
             if state.status != "optimal":
                 continue
-            for i, child in enumerate(warm_children(parent, state.primal, seed)):
-                primal_iterations.clear()
+            for child in warm_children(parent, state.primal, seed):
                 warm = solve_lp(child, warm=state)
-                if i < 4 and warm.warm and warm.status == "optimal":
-                    assert primal_iterations == [0]
                 cold = solve_lp(child)
                 status, obj = highs(child)
                 assert warm.status == cold.status == status
@@ -170,7 +159,6 @@ def test_warm_children_match_cold_and_highs(monkeypatch):
                 seen[status, warm.warm] += 1
     assert seen["optimal", True] > 400
     assert seen["infeasible", True] > 200
-    assert seen["unbounded", True] > 0
     assert all(warm for _, warm in seen)
 
 
@@ -213,19 +201,41 @@ def test_child_that_unfixes_a_fixed_nonbasic_variable_is_solved_warm():
 
 def test_child_that_unbounds_a_complemented_column_is_solved_warm():
     """A child that takes away the upper bound of a variable held
-    complemented is solved warm: the column goes back to 0, and the step
-    that makes the tableau dual feasible flips it or shifts its cost. Some
-    of these children are unbounded."""
-    seen = Counter()
+    complemented is malformed input, warm as cold: every column is boxed."""
+    children = 0
     for parent, state in _optimal_parents():
         held = np.flatnonzero(state.flipped[:parent.num_vars])
         if held.size == 0:
             continue
         upper = parent.upper.copy()
         upper[held[0]] = INF
-        seen[_assert_warm_matches_cold_and_highs(replace(parent, upper=upper), state)] += 1
-    assert seen["optimal"] > 80
-    assert seen["unbounded"] > 15
+        child = replace(parent, upper=upper)
+        for warm in (state, None):
+            with pytest.raises(LpError, match=f"variable {held[0]} has no finite upper bound"):
+                solve_lp(child, warm=warm)
+        children += 1
+    assert children > 80
+
+
+def test_logical_at_its_implied_bound_matches_highs():
+    """min x0 - x1 subject to x0 - x1 <= 3 and x0 + x1 + x2 = 2, x0 in
+    [0, 2], x1 in [0, u], x2 in [0, 1], 1 <= u <= 2: the optimum takes x1
+    to u, so the <= row's activity is its least, -u, and its logical sits
+    at its upper bound 3 + u, rhs less that least activity. From the
+    parent's u = 1.5, children that loosen or tighten u move that bound,
+    warm as cold, and match HiGHS."""
+    parent = LinearProgram(3, "minimize", np.array([1.0, -1.0, 0.0]), np.zeros(3),
+                           np.array([2.0, 1.5, 1.0]),
+                           np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]), [LE, EQ],
+                           np.array([3.0, 2.0]))
+    state = solve_lp(parent)
+    for u in (1.5, 2.0, 1.0):
+        child = replace(parent, upper=np.array([2.0, u, 1.0]))
+        assert _assert_warm_matches_cold_and_highs(child, state) == "optimal"
+        for sol in (solve_lp(child, warm=state), solve_lp(child)):
+            assert sol.objective == pytest.approx(-u, abs=1e-9)
+            logical = parent.rhs[0] - parent.A[0] @ sol.primal
+            assert logical == pytest.approx(3.0 + u, abs=1e-9)
 
 
 def test_singular_warm_basis_falls_back_to_cold():
@@ -330,9 +340,13 @@ def test_adversarial_relaxations_match_highs(delta, bounds_mode):
 def test_bound_flips_count_toward_iteration_limit(monkeypatch):
     """sum(x) = 6 over six [0, 1] columns: the dual simplex reaches it in one
     iteration, five bound flips and one pivot, and a dual stopped by the
-    iteration limit says so with its counts. max y with y <= sum(x), y >= 0:
-    the dual has nothing to do, and phase 2 takes one pivot and six bound
-    flips, which count toward the limit as iterations."""
+    iteration limit says so with its counts. Two cones, max y1 + y2 with
+    y_i <= sum(x_i) over six [0, 1] columns each and y_i in [0, 12]: the
+    step that makes the tableau dual feasible flips both y to 12, and each
+    of the two iterations pivots once and flips its cone's six x in its
+    ratio test. Those flips count toward the limit as parts of their
+    iteration: stopped after one, the dual reports its pivot and 2 + 6
+    flips."""
     n = 6
     problem = LinearProgram(n, "maximize", np.zeros(n), np.zeros(n), np.ones(n),
                             np.ones((1, n)), [EQ], np.array([float(n)]))
@@ -344,15 +358,17 @@ def test_bound_flips_count_toward_iteration_limit(monkeypatch):
     rows = LinearProgram(n, "maximize", np.zeros(n), np.zeros(n), np.full(n, 2.0),
                          np.eye(n), [EQ] * n, np.ones(n))
     assert solve_lp(rows).pivots == n
-    cone = LinearProgram(n + 1, "maximize", np.eye(n + 1)[0], np.zeros(n + 1),
-                         np.r_[INF, np.ones(n)], np.r_[1.0, -np.ones(n)][None, :], [LE],
-                         np.zeros(1))
-    sol = solve_lp(cone)
-    assert sol.objective == pytest.approx(n, abs=1e-9)
-    assert (sol.pivots, sol.bound_flips) == (1, n)
+    y = np.eye(n + 1)[0]
+    cones = LinearProgram(2 * (n + 1), "maximize", np.tile(y, 2), np.zeros(2 * (n + 1)),
+                          np.tile(np.r_[2.0 * n, np.ones(n)], 2),
+                          np.kron(np.eye(2), y - (1 - y)), [LE, LE], np.zeros(2))
+    sol = solve_lp(cones)
+    assert sol.objective == pytest.approx(2 * n, abs=1e-9)
+    assert (sol.pivots, sol.bound_flips) == (2, 2 + 2 * n)
 
     monkeypatch.setattr(lp_mod, "_MAX_ITER", 3)
     sol = solve_lp(rows)
     assert (sol.status, sol.pivots, sol.bound_flips) == ("iteration-limit", 4, 0)
-    sol = solve_lp(cone)
-    assert (sol.status, sol.pivots, sol.bound_flips) == ("iteration-limit", 1, 3)
+    monkeypatch.setattr(lp_mod, "_MAX_ITER", 0)
+    sol = solve_lp(cones)
+    assert (sol.status, sol.pivots, sol.bound_flips) == ("iteration-limit", 1, 2 + n)

@@ -131,6 +131,22 @@ def test_robust_agrees_with_brute_force():
         assert truth <= 1e-5
 
 
+def test_net_without_hidden_layers_verifies_under_obbt():
+    """A net of one affine layer has no bounds for OBBT to tighten: OBBT
+    and interval bounds reach the same verdict, robust or a counterexample,
+    and the margin is exact (it is affine in the input)."""
+    outcomes = set()
+    for seed in range(6):
+        net = init_mlp(3, [], 3, seed=seed)
+        x = np.random.default_rng(seed).uniform(0.3, 0.7, 3)
+        inst = build_instance(net, x, int(np.argmax(forward(net, x)[0])), 0.2)
+        by_obbt, by_interval = verify(inst), verify(inst, bounds_mode="interval")
+        assert by_obbt.outcome == by_interval.outcome
+        assert by_obbt.margin == pytest.approx(by_interval.margin, abs=1e-9)
+        outcomes.add(by_obbt.outcome)
+    assert outcomes == {"robust", "counterexample"}
+
+
 def test_cross_check_same_net_is_true():
     net = _vulnerable_net()
     x = np.array([0.3])
@@ -200,10 +216,11 @@ def test_lp_iteration_limit_is_unknown(monkeypatch):
     assert verdict.report.best_bound == math.inf  # the root itself failed
 
 
-def test_unbounded_node_lp_is_unknown(monkeypatch):
-    """A node LP that ends unbounded proves nothing about its subtree: the
-    node keeps its parent's bound and a robust instance becomes unknown,
-    never robust with part of the tree unexplored."""
+def test_failed_node_lp_is_unknown(monkeypatch):
+    """A node LP that ends without an optimum (here the second, stopped by
+    the iteration limit) proves nothing about its subtree: the node keeps
+    its parent's bound and a robust instance becomes unknown, never robust
+    with part of the tree unexplored."""
     net = random_net(4, input_dim=4, hidden=[6, 5], classes=3, scale=1.2)
     x = np.full(4, 0.5)
     inst = build_instance(net, x, int(np.argmax(forward(net, x)[0])), 0.3)
@@ -212,11 +229,11 @@ def test_unbounded_node_lp_is_unknown(monkeypatch):
     bnb_mod = sys.modules["prunemip.bnb"]
     solve_lp, calls = bnb_mod.solve_lp, []
 
-    def second_unbounded(lp, warm=None):
+    def second_failed(lp, warm=None):
         calls.append(warm)
-        return LpSolution("unbounded") if len(calls) == 2 else solve_lp(lp, warm=warm)
+        return LpSolution("iteration-limit") if len(calls) == 2 else solve_lp(lp, warm=warm)
 
-    monkeypatch.setattr(bnb_mod, "solve_lp", second_unbounded)
+    monkeypatch.setattr(bnb_mod, "solve_lp", second_failed)
     verdict = verify(inst)
     assert verdict.outcome == "unknown"
     assert verdict.report.status == "lp-failed"
