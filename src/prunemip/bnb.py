@@ -1,12 +1,13 @@
 """Branch-and-bound maximization over the encoder's models.
 
-A model is its own LP relaxation, solved by the bounded dual simplex
-kernel, where a variable bound costs no tableau row; every column of the
-model needs a finite lower and upper bound. An open node is one
-record of its bounds and its parent's LP solution: (-parent LP bound, tie
-counter, depth, lower, upper, parent solution) on a single heap, so the
-search is best-first over LP bounds from the root on. A node LP is the model
-with the node's bounds. The root is solved cold; every other node LP is
+A model is its own LP relaxation, in the kernel's one form: it is
+maximized, its rows are <= or =, and every column has a finite lower and
+upper bound. The bounded dual simplex kernel solves it, where a variable
+bound costs no tableau row. An open node is one record of its bounds and
+its parent's LP solution: (-parent LP bound, tie counter, depth, lower,
+upper, parent solution) on a single heap, so the search is best-first
+over LP bounds from the root on. A node LP is the model with the node's
+bounds. The root is solved cold; every other node LP is
 re-optimised by the dual simplex from its parent's final basis, with the
 rows the parent read (lp module docstring), since a child differs from its
 parent only in bounds.
@@ -65,7 +66,6 @@ class SolveReport:
 def solve(model, cfg, trace_log=None, started=None):
     """Maximize the model objective exactly (within ABS_GAP) or until timeout.
 
-    Only maximize models are accepted (every encode_adversarial model is one).
     A model that carries its network (model.mlp) gets the forward-pass
     primal heuristic. trace_log, when given, receives one "node_id depth
     bound incumbent" line per processed node. started, a time.monotonic()
@@ -73,8 +73,6 @@ def solve(model, cfg, trace_log=None, started=None):
     now), so a caller can count the time it spent building the model.
     """
     t0 = time.monotonic() if started is None else started
-    if model.objective_sense != "maximize":
-        raise ValueError(f"solve maximizes; the model's sense is {model.objective_sense!r}")
     z_cols = np.flatnonzero(model.is_binary)
     # a split neuron's z pins (vp, vm)[z] at 0; any other binary is pinned
     # by its rows alone
@@ -201,7 +199,7 @@ def _pattern_lp(mlp, box, k, h, pattern, hi):
     W, b = mlp.layers[-1]
     c = np.zeros(nv)
     c[prev] = W[h] - W[k]
-    lp = LinearProgram(nv, "maximize", c, lower, upper, A, relation, np.array(rhs))
+    lp = LinearProgram(nv, c, lower, upper, A, relation, np.array(rhs))
     sol = solve_lp(lp)
     if sol.status == "optimal":
         sol.objective += b[h] - b[k]

@@ -29,6 +29,9 @@ EXIT_UNKNOWN = 4
 EXIT_USAGE = 64  # sysexits EX_USAGE: a bad argument, distinct from every verdict
 
 BENCH_HEADER = ["arch", "lambda_alpha", "accuracy", "time_s", "nodes", "pruned_arch", "found"]
+# the synthetic blobs when --mnist is not given; a --synthetic spec
+# overrides any of its fields
+SYNTHETIC = "dims=6,classes=3,samples=600,margin=6.0"
 
 
 def _write_manifest(out_path, args):
@@ -46,24 +49,21 @@ def _write_manifest(out_path, args):
 def _add_dataset_args(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--mnist", metavar="DIR", help="directory with MNIST IDX files")
-    g.add_argument(
-        "--synthetic",
-        metavar="SPEC",
-        default="dims=6,classes=3,samples=600,margin=6.0",
-        help="synthetic blob spec, e.g. dims=6,classes=3,samples=600,margin=6.0",
-    )
+    g.add_argument("--synthetic", metavar="SPEC", default=SYNTHETIC,
+                   help="synthetic blob spec (default: %(default)s)")
     p.add_argument("--data-seed", type=int, default=0, help="seed for synthetic data")
 
 
 def _parse_synth_spec(spec, seed):
-    fields = {"dims": 6, "classes": 3, "samples": 600, "margin": 6.0}
+    fields = dict(part.split("=") for part in SYNTHETIC.split(","))
     for part in spec.split(","):
         key, _, val = part.partition("=")
         key = key.strip()
         if key not in fields:
             raise ValueError(f"unknown synthetic field {key!r}")
-        fields[key] = float(val) if key == "margin" else int(val)
-    return gen_synthetic(fields["dims"], fields["classes"], fields["samples"], fields["margin"], seed)
+        fields[key] = val
+    return gen_synthetic(int(fields["dims"]), int(fields["classes"]), int(fields["samples"]),
+                         float(fields["margin"]), seed)
 
 
 def _load_data(args, split="train"):
@@ -282,8 +282,8 @@ def cmd_gen_data(args):
     return 0
 
 
-def _add_train_flags(p, epochs=50):
-    p.add_argument("--epochs", type=int, default=epochs)
+def _add_train_flags(p):
+    p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
@@ -356,7 +356,7 @@ def build_parser():
     p.add_argument("--archs", required=True, help="comma-separated arch strings")
     p.add_argument("--out", required=True)
     _add_dataset_args(p)
-    _add_train_flags(p, epochs=50)
+    _add_train_flags(p)
     p.add_argument("--deltas", default="5.0")
     p.add_argument("--reps", type=int, default=3)
     _add_grid_flags(p)
@@ -373,7 +373,7 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset as .npz")
     p.add_argument("--out", required=True)
-    p.add_argument("--synthetic", default="dims=6,classes=3,samples=600,margin=6.0")
+    p.add_argument("--synthetic", default=SYNTHETIC)
     p.add_argument("--data-seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
     return parser

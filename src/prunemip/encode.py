@@ -157,7 +157,6 @@ class _ModelBuilder:
         A[np.array(rows, dtype=int), np.array(cols, dtype=int)] = vals
         return MipModel(
             num_vars=n,
-            objective_sense="maximize",
             objective=np.zeros(n),
             lower=np.array(self.lower, dtype=float),
             upper=np.array(self.upper, dtype=float),
@@ -260,13 +259,13 @@ def obbt_tighten(mlp, box, deadline=None):
                 return table
             c = np.zeros(prefix.num_vars)
             c[prev] = W[j]
-            for sense, pick in (("maximize", "hi"), ("minimize", "lo")):
-                sol = solve_lp(replace(prefix, objective_sense=sense, objective=c))
+            for sign in (1.0, -1.0):  # hi is max c.x + b, lo is -max(-c.x) + b
+                sol = solve_lp(replace(prefix, objective=sign * c))
                 if sol.status != "optimal":  # keep the interval bound
                     tightened = False
                     continue
-                val = sol.objective + b[j]
-                if pick == "hi":
+                val = sign * sol.objective + b[j]
+                if sign > 0:
                     his[li][j] = min(his[li][j], val)
                 else:
                     los[li][j] = max(los[li][j], val)
@@ -329,7 +328,8 @@ def assemble_trace(model, x):
 
 
 # ---------------------------------------------------------------------------
-# LP-file text format (Maximize / Subject To / Bounds / Binaries sections).
+# LP-file text format (Maximize / Subject To / Bounds / Binaries sections),
+# in the kernel's one form: <= and = rows, every non-binary column boxed.
 
 
 def _num(v):
@@ -352,38 +352,32 @@ def _expr(coeffs, columns, names):
 def write_lp(model):
     """Deterministic LP-format text; re-parsing our output is byte-stable.
 
-    Every expression lists its nonzero terms, and Bounds and Binaries their
-    columns, in order of first appearance in the document (the objective in
-    column order, then each row in column order), which is exactly the
-    variable order parse_lp reconstructs — so write -> parse -> write is the
-    identity.
+    The objective is maximized, each row of A is written with its relation
+    and rhs, and each non-binary column gets the Bounds line
+    `lo <= name <= hi`. A non-binary column without a finite lower and upper
+    bound raises ValueError. Every expression lists its nonzero terms, and
+    Bounds and Binaries their columns, in order of first appearance in the
+    document (the objective in column order, then each row in column
+    order), which is exactly the variable order parse_lp reconstructs — so
+    write -> parse -> write is the identity.
     """
-    rows = model.constraints
-    seen = np.concatenate([np.flatnonzero(model.objective),
-                           *(np.flatnonzero(coeffs) for coeffs, _, _ in rows),
+    A = np.asarray(model.A, dtype=float)
+    seen = np.concatenate([np.flatnonzero(model.objective), np.nonzero(A)[1],
                            np.arange(model.num_vars)])
     _, first = np.unique(seen, return_index=True)
     columns = seen[np.sort(first)]
 
-    lines = [model.objective_sense.capitalize()]
-    lines.append(f" obj: {_expr(model.objective, columns, model.names)}")
-    lines.append("Subject To")
-    for i, (coeffs, relation, rhs) in enumerate(rows):
+    lines = ["Maximize", f" obj: {_expr(model.objective, columns, model.names)}", "Subject To"]
+    for i, (coeffs, relation, rhs) in enumerate(zip(A, model.relation, model.rhs)):
         lines.append(f" c{i}: {_expr(coeffs, columns, model.names)} {relation} {_num(rhs)}")
     lines.append("Bounds")
     for j in columns.tolist():
         if model.is_binary[j]:
             continue
-        name = model.names[j]
-        lo, hi = model.lower[j], model.upper[j]
-        if lo == -math.inf and hi == math.inf:
-            lines.append(f" {name} free")
-        elif lo == -math.inf:
-            lines.append(f" {name} <= {_num(hi)}")
-        elif hi == math.inf:
-            lines.append(f" {name} >= {_num(lo)}")
-        else:
-            lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
+        name, lo, hi = model.names[j], model.lower[j], model.upper[j]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"column {name!r} has no finite lower and upper bound")
+        lines.append(f" {_num(lo)} <= {name} <= {_num(hi)}")
     binaries = [model.names[j] for j in columns.tolist() if model.is_binary[j]]
     if binaries:
         lines.append("Binaries")
@@ -395,6 +389,10 @@ def write_lp(model):
 def export_lp(model, path):
     with open(path, "w") as f:
         f.write(write_lp(model))
+
+
+_SECTIONS = {"maximize": "objective", "subject to": "constraints", "bounds": "bounds",
+             "binaries": "binaries"}
 
 
 def _parse_terms(tokens, get_var):
@@ -421,71 +419,66 @@ def _parse_terms(tokens, get_var):
 
 
 def parse_lp(text):
-    """Parse LP text produced by write_lp back into a MipModel (no metadata)."""
+    """Parse LP text produced by write_lp back into a MipModel (no metadata).
+
+    Only write_lp's form is read: one Maximize objective line, <= and = rows,
+    a `lo <= name <= hi` Bounds line for every non-binary column, and
+    Binaries. Anything else raises ValueError: a Minimize section, a >= row,
+    a free or one-sided bound, or a non-binary column without Bounds line.
+    """
     bld = _ModelBuilder()
     var_index = {}
+    bounded = set()  # the columns given a Bounds line or listed in Binaries
 
     def _get_var(name):
         if name not in var_index:
-            var_index[name] = bld.add_var(name, 0.0, math.inf)
+            var_index[name] = bld.add_var(name, 0.0, 0.0)
         return var_index[name]
 
-    objective = {}
-    sense = None
-    section = None
+    objective = None
+    section = "leading"  # the lines before the first section header
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         low = line.lower()
-        if low in ("maximize", "minimize"):
-            sense, section = low, "objective"
-            continue
-        if low == "subject to":
-            section = "constraints"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "binaries":
-            section = "binaries"
-            continue
         if low == "end":
             break
+        if low in _SECTIONS:
+            section = _SECTIONS[low]
+            continue
         try:
             if section == "objective":
                 body = line.split(":", 1)[1] if ":" in line else line
                 objective = _parse_terms(body.split(), _get_var)
             elif section == "constraints":
                 body = line.split(":", 1)[1] if ":" in line else line
-                tokens = body.split()
-                rel_pos = next(i for i, t in enumerate(tokens) if t in ("<=", ">=", "="))
-                coeffs = _parse_terms(tokens[:rel_pos], _get_var)
-                bld.add_con(coeffs, tokens[rel_pos], float(tokens[rel_pos + 1]))
+                *terms, relation, rhs = body.split()
+                if relation not in (LE, EQ):
+                    raise ValueError
+                bld.add_con(_parse_terms(terms, _get_var), relation, float(rhs))
             elif section == "bounds":
-                tokens = line.split()
-                if tokens[-1] == "free":
-                    j = _get_var(tokens[0])
-                    bld.lower[j], bld.upper[j] = -math.inf, math.inf
-                elif len(tokens) == 5:  # lo <= name <= hi
-                    j = _get_var(tokens[2])
-                    bld.lower[j], bld.upper[j] = float(tokens[0]), float(tokens[4])
-                elif tokens[1] == "<=":
-                    j = _get_var(tokens[0])
-                    bld.lower[j], bld.upper[j] = -math.inf, float(tokens[2])
-                else:
-                    j = _get_var(tokens[0])
-                    bld.lower[j], bld.upper[j] = float(tokens[2]), math.inf
+                lo, rel_lo, name, rel_hi, hi = line.split()
+                if rel_lo != LE or rel_hi != LE:
+                    raise ValueError
+                j = _get_var(name)
+                bld.lower[j], bld.upper[j] = float(lo), float(hi)
+                bounded.add(j)
             elif section == "binaries":
                 for name in line.split():
                     j = _get_var(name)
                     bld.binary[j] = True
                     bld.lower[j], bld.upper[j] = 0.0, 1.0
-        except (IndexError, StopIteration, ValueError):
+                    bounded.add(j)
+            else:
+                raise ValueError
+        except (IndexError, ValueError):
             raise ValueError(f"LP text line {lineno}: malformed {section} line {line!r}") from None
-    if sense is None:
-        raise ValueError("LP text has no objective section")
+    if objective is None:
+        raise ValueError("LP text has no objective line")
+    unbounded = [name for j, name in enumerate(bld.names) if j not in bounded]
+    if unbounded:
+        raise ValueError(f"LP text gives column {unbounded[0]!r} no bounds")
     model = bld.finish()
-    model.objective_sense = sense
     model.objective[list(objective)] = list(objective.values())
     return model

@@ -4,27 +4,29 @@ of an LP with the same rows, and runs one path: the bounded dual simplex
 with bound flipping.
 
 Serves as the LP kernel for bound tightening, branch-and-bound node
-relaxations, and the activation-pattern enumeration oracle. solve_lp needs
-a finite lower and a finite upper bound on every variable, and raises
-LpError without them: every column is boxed. check_feasible takes any
-bounds.
+relaxations, and the activation-pattern enumeration oracle. Every LP has
+one form: maximize objective . x subject to rows A x (<= or =) rhs and
+lower <= x <= upper. solve_lp needs a finite lower and a finite upper bound
+on every variable, and raises LpError without them: every column is boxed.
+check_feasible takes any bounds.
 
 An LP's rows are a matrix A (m x n, n = num_vars), a relation per row and
-rhs. A cold solve reads them with one copy, A0 = [scale * A | I], where
-scale negates a >= row into a <= row, the right-hand sides scale * rhs, and
-keeps A- = min(scale * A, 0). Row i reads a_i x + s_i = rhs_i, its logical
-variable s_i in column n + i of A0. An = row's logical is fixed at 0. A <=
-row's lies in [0, rhs_i minus the row's least activity over lp's bounds];
-each solve computes these upper bounds with one product, b - A- (up - lo),
-b being the right-hand side with every variable at its lower bound. A row
-whose least activity exceeds its rhs by more than FEAS_TOL makes the LP
-infeasible; within FEAS_TOL, its logical is fixed at 0. All n + m variables
-then map alike: x = lo + x' with 0 <= x' <= up - lo, of width 0 when x is
-fixed. A basis names one basic variable per row; the logicals form one.
-Each solve takes its tableau columns from lp's own bounds: one, in variable
-order, for every variable that can move or is basic. A nonbasic variable of
-width 0 never moves and gets none. So the right-hand side is b, and the
-primal lo plus x' at the columns' variables.
+rhs. A cold solve reads them with one copy, A0 = [A | I], and keeps
+A- = min(A, 0). Row i reads a_i x + s_i = rhs_i, its logical variable s_i
+in column n + i of A0. An = row's logical is fixed at 0. A <= row's lies
+in [0, rhs_i minus the row's least activity over lp's bounds]; each solve
+computes these upper bounds with one product, b - A- (up - lo), b being the
+right-hand side with every variable at its lower bound. A row whose least
+activity exceeds its rhs by more than FEAS_TOL makes the LP infeasible;
+within FEAS_TOL, its logical is fixed at 0. All n + m variables then map
+alike: x = lo + x' with 0 <= x' <= up - lo, of width 0 when x is fixed. A
+basis names one basic variable per row; the logicals form one. Each solve
+takes its tableau columns from lp's own bounds: one, in variable order, for
+every variable that can move or is basic. A nonbasic variable of width 0
+never moves and gets none. So the right-hand side is b, and the primal lo
+plus x' at the columns' variables. Row 0 of the tableau holds minus the
+reduced costs of max objective . x', so a negative entry marks a column that
+would raise the objective from its bound.
 
 The tableau has one row per constraint: bounds never become rows. A
 nonbasic column sits at 0 or at its upper bound u. A column at u is
@@ -40,12 +42,12 @@ above its upper bound) leave; after _BLAND_FACTOR * (n + m) iterations, the
 infeasible one of smallest column. Its ratio test passes the breakpoints in
 ratio order while the leaving row stays infeasible with them at their other
 bound, complements every passed column at once, and enters at the first
-breakpoint it cannot pass, the largest |alpha| among tied ratios. A row that
-stays infeasible with every breakpoint passed proves the LP infeasible. A
-variable that leaves above its upper bound is complemented. Once the basis
-is primal feasible the reduced costs are checked again: where round-off left
-one of the wrong sign, steps (2) and (3) repeat; otherwise the tableau is
-optimal.
+breakpoint it cannot pass: the largest |alpha| among tied ratios, or under
+Bland's rule the smallest column. A row that stays infeasible with every
+breakpoint passed proves the LP infeasible. A variable that leaves above its
+upper bound is complemented. Once the basis is primal feasible the reduced
+costs are checked again: where round-off left one of the wrong sign, steps
+(2) and (3) repeat; otherwise the tableau is optimal.
 
 A solve ends with a status: "optimal", "infeasible", or "iteration-limit"
 once it passes _MAX_ITER iterations, an iteration being one pivot with the
@@ -73,7 +75,7 @@ PIVOT_TOL = 1e-9
 _BLAND_FACTOR = 5
 _MAX_ITER = 200_000
 
-LE, EQ, GE = "<=", "=", ">="
+LE, EQ = "<=", "="
 
 Row = namedtuple("Row", "coeffs relation rhs")
 
@@ -87,16 +89,15 @@ class LpError(ValueError):
 
 @dataclass
 class LinearProgram:
-    """Optimize objective . x subject to A x (relation) rhs, row by row, and
+    """Maximize objective . x subject to A x (relation) rhs, row by row, and
     lower <= x <= upper."""
 
     num_vars: int
-    objective_sense: str  # "maximize" | "minimize"
     objective: np.ndarray
     lower: np.ndarray  # -inf allowed by check_feasible, not by solve_lp
     upper: np.ndarray  # +inf allowed by check_feasible, not by solve_lp
     A: np.ndarray  # rows x num_vars
-    relation: np.ndarray  # per row: "<=", "=" or ">="
+    relation: np.ndarray  # per row: "<=" or "="
     rhs: np.ndarray
 
     @property
@@ -112,10 +113,10 @@ class LinearProgram:
 @dataclass(frozen=True)
 class Rows:
     """The rows as read: lp's (A, relation, rhs), to recognise them, then A0
-    over the variables and the logicals, the right-hand sides with a >= row
-    negated, the logicals' lower and upper bounds by relation as a 2 x m
-    array (0 and inf for a <= row), and low = min(A0[:, :n], 0), whose
-    product with the variables' widths gives the rows' least activities."""
+    over the variables and the logicals, the right-hand sides, the
+    logicals' lower and upper bounds by relation as a 2 x m array (0 and
+    inf for a <= row), and low = min(A0[:, :n], 0), whose product with the
+    variables' widths gives the rows' least activities."""
 
     source: tuple
     A0: np.ndarray
@@ -144,8 +145,6 @@ def _check(lp):
         raise LpError("objective/bounds length does not match num_vars")
     if (np.shape(lp.A), np.shape(lp.relation), np.shape(lp.rhs)) != ((m, n), (m,), (m,)):
         raise LpError(f"A, relation and rhs must have shapes ({m}, {n}), ({m},) and ({m},)")
-    if lp.objective_sense not in ("maximize", "minimize"):
-        raise LpError(f"unknown objective sense {lp.objective_sense!r}")
     if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
         raise LpError("a variable bound is NaN")
     if not np.isfinite(lp.objective).all():
@@ -153,23 +152,22 @@ def _check(lp):
 
 
 def _read(lp):
-    """Check lp and read its rows: Rows, A0 = [scale * A | I] with row i's
-    logical in column num_vars + i and a >= row negated into <=."""
+    """Check lp and read its rows: Rows, A0 = [A | I] with row i's logical
+    in column num_vars + i."""
     _check(lp)
-    A, rhs = np.asarray(lp.A, dtype=float), np.asarray(lp.rhs, dtype=float)
+    A, rhs = np.asarray(lp.A, dtype=float), np.array(lp.rhs, dtype=float)
     relation = np.asarray(lp.relation, dtype=str)
-    eq, ge = relation == EQ, relation == GE
-    bad = np.flatnonzero(~(eq | ge | (relation == LE)))
+    eq = relation == EQ
+    bad = np.flatnonzero(~(eq | (relation == LE)))
     if bad.size:
         raise LpError(f"constraint {bad[0]}: unknown relation {str(relation[bad[0]])!r}")
     bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(rhs)))
     if bad.size:
         raise LpError(f"constraint {bad[0]} has a non-finite coefficient or rhs")
-    scaled = np.where(ge, -1.0, 1.0)[:, None] * A
     logical = np.zeros((2, rhs.size))
     logical[1, ~eq] = math.inf
-    return Rows((lp.A, lp.relation, lp.rhs), np.hstack([scaled, np.eye(rhs.size)]),
-                np.where(ge, -rhs, rhs), logical, np.minimum(scaled, 0.0))
+    return Rows((lp.A, lp.relation, lp.rhs), np.hstack([A, np.eye(rhs.size)]), rhs, logical,
+                np.minimum(A, 0.0))
 
 
 def check_feasible(lp, point, tol=FEAS_TOL):
@@ -237,11 +235,12 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
             continue
         if tally["pivots"] > _MAX_ITER:
             return "iteration-limit"
-        if tally["pivots"] < bland_after:
-            r = int(np.argmax(excess))
-        else:
+        bland = tally["pivots"] >= bland_after
+        if bland:
             rows = np.flatnonzero(excess > FEAS_TOL)
             r = int(rows[np.argmin(basis[rows])])
+        else:
+            r = int(np.argmax(excess))
         high = bool(x[r] > ub[basis[r]])  # leaves at its upper bound
         alpha = T[r + 1, :-1] if high else -T[r + 1, :-1]
         can = (alpha > PIVOT_TOL) & movable  # columns that move the leaving one
@@ -251,7 +250,7 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
             return "infeasible"
         ratios = np.maximum(T[0, cand], 0.0) / alpha[cand]
         tied = cand[ratios <= ratios.min() + 1e-12]
-        j = int(tied[np.argmax(alpha[tied])])
+        j = int(tied[0] if bland else tied[np.argmax(alpha[tied])])  # cand is sorted
         if excess[r] - ub[j] * alpha[j] > FEAS_TOL:  # j can be passed: walk the breakpoints
             order = np.lexsort((cand, ratios))
             slope = excess[r] - np.cumsum(ub[cand[order]] * alpha[cand[order]])
@@ -262,7 +261,7 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
             tally["flips"] += k
             rest = order[k:]
             last = cand[rest[ratios[rest] <= ratios[rest[0]] + 1e-12]]
-            j = int(last[np.argmax(alpha[last])])
+            j = int(last.min() if bland else last[np.argmax(alpha[last])])
         leaving = basis[r]
         _pivot(T, basis, r + 1, j)
         tally["pivots"] += 1
@@ -271,16 +270,15 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
 
 
 def _standard_form(lp, rows, b, ub, src):
-    """(A, b, ub, c): lp on the columns of the variables src, min c x'
-    subject to A x' = b and 0 <= x' <= ub, c in the minimization sense."""
-    sgn = -1.0 if lp.objective_sense == "maximize" else 1.0
+    """(A, b, ub, c): lp on the columns of the variables src, max c x'
+    subject to A x' = b and 0 <= x' <= ub."""
     cost = np.zeros(ub.size)
     cost[:lp.num_vars] = lp.objective
-    return rows.A0[:, src], b, ub[src], sgn * cost[src]
+    return rows.A0[:, src], b, ub[src], cost[src]
 
 
 def solve_lp(lp, warm=None):
-    """Optimize lp. Deterministic.
+    """Maximize lp. Deterministic.
 
     Cold (warm=None), the solve starts from the logicals' basis. With warm,
     an optimal LpSolution of an LP with the same rows (the same A, relation
@@ -322,7 +320,7 @@ def solve_lp(lp, warm=None):
 
 
 def _solve(lp, rows, lo, b, ub, basis, flipped, warm):
-    """Optimize lp from the given basic variables and complemented ones, on
+    """Maximize lp from the given basic variables and complemented ones, on
     a column for every variable that can move or is basic; None where the
     basis is singular. lo holds the variables' lower bounds, b the
     right-hand side with every variable there, and ub the widths of the
@@ -344,8 +342,8 @@ def _solve(lp, rows, lo, b, ub, basis, flipped, warm):
         return None
     T[1:, basis] = np.eye(basis.size)
     cost = np.where(flipped, -c, c)
-    T[0, :-1] = cost
-    T[0] -= cost[basis] @ T[1:]  # the reduced costs, and minus the objective
+    T[0, :-1] = -cost
+    T[0] += cost[basis] @ T[1:]  # minus the reduced costs, and the objective
     tally = Counter()
     status = _run_dual(T, basis, ub, flipped, _BLAND_FACTOR * rows.A0.shape[1], tally)
     counts = {"pivots": tally["pivots"], "bound_flips": tally["flips"], "warm": warm}

@@ -15,7 +15,7 @@ import prunemip.lp as lp_mod
 from prunemip.bnb import ABS_GAP, SolverConfig, brute_force_verify, solve
 from prunemip.encode import (InputBox, assemble_trace, encode_adversarial, encode_network,
                              interval_bounds, parse_lp, write_lp)
-from prunemip.lp import LpError, check_feasible, solve_lp
+from prunemip.lp import check_feasible, solve_lp
 from prunemip.nn import Mlp, forward
 
 from conftest import random_net
@@ -44,9 +44,6 @@ def test_no_binaries_is_single_node():
     assert report.nodes == 1
     logits, _ = forward(net, x)
     assert report.incumbent_obj == pytest.approx(logits[1] - logits[0], abs=1e-7)
-    model.objective_sense = "minimize"  # solve maximizes only
-    with pytest.raises(ValueError):
-        solve(model, SolverConfig())
 
 
 def test_oracle_equivalence_sample():
@@ -111,13 +108,13 @@ def test_infeasible_injected_bounds():
 
 
 def test_failed_root_lp_ends_lp_failed(monkeypatch):
-    """max y subject to y - z >= 0, y - x = 3, z binary, y and x in [0, 10]:
+    """max y subject to z - y <= 0, y - x = 3, z binary, y and x in [0, 10]:
     a root LP stopped by the simplex iteration limit proves nothing about
     the MILP, so the search keeps the root's bound (+inf) and ends
     lp-failed, not infeasible. The failed LP's work, the bound flip that
     made its tableau dual feasible, is counted. Without an upper bound on
-    y the relaxation is malformed input: every column is boxed."""
-    text = ("Maximize\n obj: 1.0 y\nSubject To\n c0: 1.0 y - 1.0 z >= 0.0\n"
+    y the LP text is malformed input: every column is boxed."""
+    text = ("Maximize\n obj: 1.0 y\nSubject To\n c0: - 1.0 y + 1.0 z <= 0.0\n"
             " c1: 1.0 y - 1.0 x = 3.0\nBounds\n {}\n 0.0 <= x <= 10.0\n"
             "Binaries\n z\nEnd\n")
     model = parse_lp(text.format("0.0 <= y <= 10.0"))
@@ -129,8 +126,8 @@ def test_failed_root_lp_ends_lp_failed(monkeypatch):
     assert report.incumbent_obj is None
     assert report.stats["failed_lps"] == report.stats["lp_solves"] == 1
     assert (report.stats["pivots"], report.stats["bound_flips"]) == (0, 1)
-    with pytest.raises(LpError, match="no finite upper bound"):
-        solve(parse_lp(text.format("y >= 0.0")), SolverConfig())
+    with pytest.raises(ValueError, match="malformed bounds line 'y >= 0.0'"):
+        parse_lp(text.format("y >= 0.0"))
 
 
 def test_node_count_determinism():

@@ -283,7 +283,7 @@ def test_bounds_table_validation_and_csv():
 def test_write_lp_minimal_model():
     from prunemip.encode import MipModel
 
-    model = MipModel(num_vars=1, objective_sense="maximize", objective=np.array([1.0]),
+    model = MipModel(num_vars=1, objective=np.array([1.0]),
                      lower=np.array([0.0]), upper=np.array([2.0]), A=np.zeros((0, 1)),
                      relation=np.array([], dtype=str), rhs=np.zeros(0),
                      names=["a"], is_binary=np.array([False]))
@@ -320,7 +320,8 @@ def test_lp_round_trip_byte_identical():
 def test_parse_lp_reproduces_the_rows():
     """parse_lp(write_lp(model)) holds model's A, relation and rhs, its
     columns permuted as its names say, for encoder models with and without
-    stable neurons eliminated and for a minimize model with a >= row."""
+    stable neurons eliminated and for a model with a binary, a negative
+    bound and a <= row."""
     from prunemip.encode import MipModel
 
     models = []
@@ -330,11 +331,10 @@ def test_parse_lp_reproduces_the_rows():
         model = encode_network(net, box, interval_bounds(net, box), eliminate_stable=seed % 2 == 0)
         model.objective[model.output_vars[-1]] = 1.0
         models.append(model)
-    models.append(MipModel(num_vars=3, objective_sense="minimize",
-                           objective=np.array([0.0, 2.0, -1.0]),
-                           lower=np.array([0.0, -1.0, 0.0]), upper=np.array([1.0, 4.0, np.inf]),
-                           A=np.array([[1.0, 0.0, -2.5], [0.0, 3.0, 0.0]]),
-                           relation=np.array([">=", "="]), rhs=np.array([1.0, -4.0]),
+    models.append(MipModel(num_vars=3, objective=np.array([0.0, -2.0, 1.0]),
+                           lower=np.array([0.0, -1.0, 0.0]), upper=np.array([1.0, 4.0, 8.0]),
+                           A=np.array([[-1.0, 0.0, 2.5], [0.0, 3.0, 0.0]]),
+                           relation=np.array(["<=", "="]), rhs=np.array([-1.0, -4.0]),
                            names=["a", "b", "c"], is_binary=np.array([True, False, False])))
     for model in models:
         parsed = parse_lp(write_lp(model))
@@ -343,19 +343,21 @@ def test_parse_lp_reproduces_the_rows():
         assert np.array_equal(parsed.A, model.A[:, perm])
         assert np.array_equal(parsed.relation, model.relation)
         assert np.array_equal(parsed.rhs, model.rhs)
-        assert parsed.objective_sense == model.objective_sense
         for field in ("objective", "lower", "upper", "is_binary"):
             assert np.array_equal(getattr(parsed, field), getattr(model, field)[perm]), field
 
 
 def test_parse_lp_requires_objective():
-    with pytest.raises(ValueError):
-        parse_lp("Bounds\n x free\nEnd\n")
+    with pytest.raises(ValueError, match="no objective"):
+        parse_lp("Bounds\n 0.0 <= x <= 1.0\nEnd\n")
 
 
 @pytest.mark.parametrize("line", ["c0: 1.0 y 3.0",  # no relation
-                                  "c0: 1.0 y + 2.0 >= 0.0",  # a coefficient without a variable
-                                  "c0: 1.0 y >="])  # a relation without a right-hand side
+                                  "c0: 1.0 y + 2.0 >= 0.0",  # a >= row with a lone coefficient
+                                  "c0: 1.0 y >=",  # a >= row without a right-hand side
+                                  "c0: 1.0 y + 2.0 <= 0.0",  # a coefficient without a variable
+                                  "c0: 1.0 y <=",  # a relation without a right-hand side
+                                  "c0: 1.0 y >= 0.5"])  # a >= row
 def test_parse_lp_malformed_constraint_names_the_line(line):
     with pytest.raises(ValueError, match="line 4: .*" + re.escape(repr(line))):
         parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\n {line}\nEnd\n")
@@ -365,3 +367,32 @@ def test_parse_lp_malformed_constraint_names_the_line(line):
 def test_parse_lp_bound_without_value_names_the_line(line):
     with pytest.raises(ValueError, match="line 4: .*" + re.escape(repr(line))):
         parse_lp(f"Maximize\n obj: 1.0 y\nBounds\n {line}\nEnd\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Minimize\n obj: 1.0 y\nSubject To\nBounds\n 0.0 <= y <= 1.0\nEnd\n",
+     "line 1: malformed leading line 'Minimize'"),
+    ("Maximize\n obj: 1.0 y + 1.0 x\nSubject To\nBounds\n 0.0 <= y <= 1.0\nEnd\n",
+     "LP text gives column 'x' no bounds"),
+])
+def test_parse_lp_reads_only_the_form_write_lp_writes(text, message):
+    """parse_lp reads a Maximize objective and a `lo <= name <= hi` Bounds
+    line for every non-binary column: a Minimize section and a column
+    without a Bounds line are malformed. (A >= row, and a free or one-sided
+    bound, are cases of the tests of malformed rows and of unboxed
+    variables.)"""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_lp(text)
+
+
+@pytest.mark.parametrize("lower, upper", [(-math.inf, math.inf), (-math.inf, 2.0),
+                                          (0.0, math.inf)])
+def test_write_lp_rejects_an_unboxed_column(lower, upper):
+    from prunemip.encode import MipModel
+
+    model = MipModel(num_vars=1, objective=np.array([1.0]), lower=np.array([lower]),
+                     upper=np.array([upper]), A=np.zeros((0, 1)),
+                     relation=np.array([], dtype=str), rhs=np.zeros(0),
+                     names=["a"], is_binary=np.array([False]))
+    with pytest.raises(ValueError, match="column 'a' has no finite lower and upper bound"):
+        write_lp(model)

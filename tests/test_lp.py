@@ -11,7 +11,6 @@ from prunemip.encode import parse_lp
 from prunemip.lp import (
     EQ,
     FEAS_TOL,
-    GE,
     LE,
     LinearProgram,
     LpError,
@@ -24,31 +23,31 @@ INF = math.inf
 NAN = math.nan
 
 
-def lp(n, sense, c, lo, hi, A=None, relation=(), rhs=()):
-    """The LP with rows A x (relation) rhs; without A it has none."""
-    return LinearProgram(n, sense, np.array(c, dtype=float),
+def lp(n, c, lo, hi, A=None, relation=(), rhs=()):
+    """The LP max c.x with rows A x (relation) rhs; without A it has none."""
+    return LinearProgram(n, np.array(c, dtype=float),
                          np.array(lo, dtype=float), np.array(hi, dtype=float),
                          np.zeros((0, n)) if A is None else np.array(A, dtype=float),
                          list(relation), np.array(rhs, dtype=float))
 
 
 def test_single_active_bound():
-    sol = solve_lp(lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [5.0]))
+    sol = solve_lp(lp(1, [1], [0], [10], [[1.0]], [LE], [5.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_empty_feasible_set():
-    rows = [[1.0], [1.0]], [LE, GE], [1.0, 2.0]
-    assert solve_lp(lp(1, "maximize", [1], [0], [10], *rows)).status == "infeasible"
+    rows = [[1.0], [-1.0]], [LE, LE], [1.0, -2.0]  # x <= 1 and x >= 2
+    assert solve_lp(lp(1, [1], [0], [10], *rows)).status == "infeasible"
     first = [part[:1] for part in rows]
     for bound in (INF, -INF):  # no real x has x >= inf, or x <= -inf
-        assert solve_lp(lp(1, "maximize", [1], [bound], [bound], *first)).status == "infeasible"
+        assert solve_lp(lp(1, [1], [bound], [bound], *first)).status == "infeasible"
 
 
 def test_separable_box_maximum():
-    sol = solve_lp(lp(2, "maximize", [1, 1], [0, 0], [10, 10], np.eye(2), [LE, LE], [1.0, 2.0]))
+    sol = solve_lp(lp(2, [1, 1], [0, 0], [10, 10], np.eye(2), [LE, LE], [1.0, 2.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
@@ -57,46 +56,46 @@ def test_unbounded():
     """max x over x >= 0 has no optimum, and solve_lp takes no variable
     without a finite upper bound."""
     with pytest.raises(LpError, match="variable 0 has no finite upper bound"):
-        solve_lp(lp(1, "maximize", [1], [0], [INF]))
+        solve_lp(lp(1, [1], [0], [INF]))
 
 
 def test_minimize_sense():
-    sol = solve_lp(lp(1, "minimize", [1], [-3], [7]))
+    """min x is max -x."""
+    sol = solve_lp(lp(1, [-1], [-3], [7]))
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(-3.0, abs=1e-9)
+    assert -sol.objective == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_equality_constraint():
-    sol = solve_lp(lp(2, "maximize", [2, 1], [0, 0], [3, 10], [[1.0, 1.0]], [EQ], [4.0]))
+    sol = solve_lp(lp(2, [2, 1], [0, 0], [3, 10], [[1.0, 1.0]], [EQ], [4.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(7.0, abs=1e-9)  # x=3, y=1
 
 
 def test_malformed_dimensions_rejected():
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1, 2], [0], [1]))
+        solve_lp(lp(1, [1, 2], [0], [1]))
     with pytest.raises(LpError, match="shapes"):  # a row longer than num_vars
-        solve_lp(lp(1, "maximize", [1], [0], [1], [[0.0, 0.0, 0.0, 1.0]], [LE], [0.0]))
+        solve_lp(lp(1, [1], [0], [1], [[0.0, 0.0, 0.0, 1.0]], [LE], [0.0]))
     with pytest.raises(LpError, match="shapes"):  # a row shorter than num_vars
-        solve_lp(lp(2, "maximize", [1, 1], [0, 0], [1, 1], [[1.0]], [LE], [0.0]))
+        solve_lp(lp(2, [1, 1], [0, 0], [1, 1], [[1.0]], [LE], [0.0]))
     with pytest.raises(LpError, match="shapes"):  # a relation without a row
-        solve_lp(lp(1, "maximize", [1], [0], [1], [[1.0]], [LE, LE], [0.0]))
+        solve_lp(lp(1, [1], [0], [1], [[1.0]], [LE, LE], [0.0]))
     with pytest.raises(LpError, match="shapes"):  # a row without a right-hand side
-        check_feasible(lp(1, "maximize", [1], [0], [1], [[1.0]], [LE]), [0.0])
-    with pytest.raises(LpError, match="unknown relation '<'"):
-        solve_lp(lp(1, "maximize", [1], [0], [1], [[1.0]], ["<"], [0.0]))
-    with pytest.raises(LpError):
-        solve_lp(lp(1, "sideways", [1], [0], [1]))
+        check_feasible(lp(1, [1], [0], [1], [[1.0]], [LE]), [0.0])
+    for relation in ("<", ">="):  # a >= row is written as a <= row
+        with pytest.raises(LpError, match=f"unknown relation {relation!r}"):
+            solve_lp(lp(1, [1], [0], [1], [[1.0]], [relation], [0.0]))
 
 
 def test_nan_bound_rejected():
     for lo, hi in ((NAN, 1.0), (0.0, NAN)):
         with pytest.raises(LpError):
-            solve_lp(lp(1, "maximize", [1], [lo], [hi]))
+            solve_lp(lp(1, [1], [lo], [hi]))
     with pytest.raises(LpError):  # the LP text "nan <= x <= 1.0"
         solve_lp(parse_lp("Maximize\n obj: 1.0 x\nSubject To\nBounds\n nan <= x <= 1.0\nEnd\n"))
     with pytest.raises(LpError, match="no finite upper bound"):  # inf is a bound, not NaN
-        solve_lp(lp(1, "maximize", [1], [0], [INF]))
+        solve_lp(lp(1, [1], [0], [INF]))
 
 
 # per side: (lower, upper) of variable 1 for an LP, and the bound lines of
@@ -109,20 +108,20 @@ UNBOXED = {"lower": (((-INF, INF), (-INF, 1.0)), (" y free", " y <= 1.0")),
 def test_variable_without_finite_bound_rejected(side):
     """Every column is boxed: a free variable, or one without a finite
     lower or upper bound, is malformed input, cold, as a warm child of a
-    boxed parent, and in LP text."""
+    boxed parent, and in LP text, whose Bounds line parse_lp rejects."""
     pairs, lines = UNBOXED[side]
     rows = [[0.0, 1.0]], [LE], [0.0]
-    parent = lp(2, "maximize", [1, 1], [0, 0], [1, 1], *rows)
+    parent = lp(2, [1, 1], [0, 0], [1, 1], *rows)
     state = solve_lp(parent)
     assert state.status == "optimal"
     for lo, hi in pairs:
-        child = lp(2, "maximize", [1, 1], [0, lo], [1, hi], *rows)
+        child = lp(2, [1, 1], [0, lo], [1, hi], *rows)
         for warm in (None, state):
             with pytest.raises(LpError, match=f"variable 1 has no finite {side} bound"):
                 solve_lp(child, warm=warm)
     for bound in lines:
-        with pytest.raises(LpError, match=f"no finite {side} bound"):
-            solve_lp(parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\nBounds\n{bound}\nEnd\n"))
+        with pytest.raises(ValueError, match=f"malformed bounds line {bound.strip()!r}"):
+            parse_lp(f"Maximize\n obj: 1.0 y\nSubject To\nBounds\n{bound}\nEnd\n")
 
 
 def test_row_whose_least_activity_exceeds_its_rhs_is_infeasible():
@@ -131,7 +130,7 @@ def test_row_whose_least_activity_exceeds_its_rhs_is_infeasible():
     cold or warm; within FEAS_TOL the row's logical is fixed at 0 and the
     one point fits."""
     bounds = [1, 0], [2, 1]
-    parent = lp(2, "maximize", [1, 1], *bounds, [[1.0, -1.0]], [LE], [1.0])
+    parent = lp(2, [1, 1], *bounds, [[1.0, -1.0]], [LE], [1.0])
     state = solve_lp(parent)
     assert state.status == "optimal" and state.objective == pytest.approx(3.0, abs=1e-9)
     for rhs in (-1.0, -2 * FEAS_TOL):
@@ -148,34 +147,36 @@ def test_row_whose_least_activity_exceeds_its_rhs_is_infeasible():
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 def test_non_finite_objective_rejected(value):
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [value], [0], [1]))
+        solve_lp(lp(1, [value], [0], [1]))
 
 
 @pytest.mark.parametrize("value", [NAN, INF])
 def test_non_finite_coefficient_or_rhs_rejected(value):
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [10], [[value]], [LE], [1.0]))
+        solve_lp(lp(1, [1], [0], [10], [[value]], [LE], [1.0]))
     with pytest.raises(LpError):
-        solve_lp(lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [value]))
+        solve_lp(lp(1, [1], [0], [10], [[1.0]], [LE], [value]))
 
 
 def test_check_feasible_boundary_and_violation():
-    problem = lp(1, "maximize", [1], [-INF], [INF], [[1.0]], [LE], [5.0])
+    problem = lp(1, [1], [-INF], [INF], [[1.0]], [LE], [5.0])
     assert check_feasible(problem, [5.0], 1e-9)
     assert not check_feasible(problem, [5.0 + 1e-3], 1e-9)
     with pytest.raises(LpError):
         check_feasible(problem, [1.0, 2.0], 1e-9)
     tol = 1e-6
-    for relation, inside, outside in ((LE, [0.5], [2.0]), (GE, [-0.5], [-2.0]),
-                                      (EQ, [0.5, -0.5], [2.0, -2.0])):
-        # x0 + 2 x1 (relation) 5 at the boundary point (1, 2), moved along x0
-        problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF], [[1.0, 2.0]], [relation], [5.0])
+    for sign, relation, inside, outside in ((1.0, LE, [0.5], [2.0]), (-1.0, LE, [-0.5], [-2.0]),
+                                            (1.0, EQ, [0.5, -0.5], [2.0, -2.0])):
+        # x0 + 2 x1 (relation) 5 at the boundary point (1, 2), moved along
+        # x0; sign -1 makes the row x0 + 2 x1 >= 5
+        problem = lp(2, [1, 1], [0, -INF], [4, INF], [[sign, 2.0 * sign]], [relation],
+                     [5.0 * sign])
         for step in inside:
             assert check_feasible(problem, [1.0 + step * tol, 2.0], tol), (relation, step)
         for step in outside:
             assert not check_feasible(problem, [1.0 + step * tol, 2.0], tol), (relation, step)
     # only a variable bound is violated: x0 in [0, 4], the row x0 + x1 = 4 holds
-    problem = lp(2, "maximize", [1, 1], [0, -INF], [4, INF], [[1.0, 1.0]], [EQ], [4.0])
+    problem = lp(2, [1, 1], [0, -INF], [4, INF], [[1.0, 1.0]], [EQ], [4.0])
     for x0, feasible in ((4.0 + 0.5 * tol, True), (4.0 + 2 * tol, False),
                          (-0.5 * tol, True), (-2 * tol, False)):
         assert check_feasible(problem, [x0, 4.0 - x0], tol) == feasible, x0
@@ -183,10 +184,10 @@ def test_check_feasible_boundary_and_violation():
 
 def test_check_feasible_rejects_non_finite_point():
     """NaN fails every comparison and inf passes [0, inf): neither is a point."""
-    boxed = lp(2, "maximize", [1, 1], [0, 0], [1, 1], [[1.0, 1.0]], [LE], [2.0])
+    boxed = lp(2, [1, 1], [0, 0], [1, 1], [[1.0, 1.0]], [LE], [2.0])
     assert check_feasible(boxed, [0.5, 0.5])
     assert not check_feasible(boxed, [NAN, 0.5])
-    half_line = lp(1, "maximize", [1], [0], [INF])
+    half_line = lp(1, [1], [0], [INF])
     assert check_feasible(half_line, [1e300])
     for value in (INF, -INF, NAN):
         assert not check_feasible(half_line, [value])
@@ -204,10 +205,13 @@ def _random_lp(seed):
     for row in A:
         for j in rng.choice(n, rng.integers(1, n + 1), replace=False):
             row[j] = rng.normal()
-        relation.append((LE, GE, EQ)[int(rng.integers(3))])
+        relation.append(("<=", ">=", EQ)[int(rng.integers(3))])
         rhs.append(float(rng.normal()))
-    sense = "maximize" if rng.random() < 0.5 else "minimize"
-    return lp(n, sense, c, lo, hi, A, relation, rhs)
+        if relation[-1] == ">=":  # as the <= row -row <= -rhs
+            row *= -1.0
+            relation[-1], rhs[-1] = LE, -rhs[-1]
+    minimize = rng.random() >= 0.5  # as max -c.x
+    return lp(n, -c if minimize else c, lo, hi, A, relation, rhs)
 
 
 def test_solutions_round_trip_check_feasible():
@@ -233,8 +237,6 @@ def _vertices(lo, hi, A, relation, rhs):
     for a, rel, b in zip(A, relation, rhs):
         if rel == LE:
             halfspaces.append((a, b))
-        elif rel == GE:
-            halfspaces.append((-a, -b))
         else:
             halfspaces.append((a, b))
             halfspaces.append((-a, -b))
@@ -269,7 +271,7 @@ def test_vertex_enumeration_oracle():
             A.append(rng.normal(size=n))
             rhs.append(float(rng.uniform(0.5, 2.0)))
         c = rng.normal(size=n)
-        problem = lp(n, "maximize", c, lo, hi, A, [LE] * len(rhs), rhs)
+        problem = lp(n, c, lo, hi, A, [LE] * len(rhs), rhs)
         sol = solve_lp(problem)
         verts = _vertices(lo, hi, problem.A, problem.relation, problem.rhs)
         if not verts:
@@ -293,7 +295,7 @@ def test_determinism_bit_identical():
 
 
 def test_degenerate_fixed_variable():
-    sol = solve_lp(lp(2, "maximize", [1, 1], [2, 0], [2, 5], [[1.0, 1.0]], [LE], [10.0]))
+    sol = solve_lp(lp(2, [1, 1], [2, 0], [2, 5], [[1.0, 1.0]], [LE], [10.0]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(7.0, abs=1e-9)
     assert sol.primal[0] == pytest.approx(2.0, abs=1e-9)
@@ -302,10 +304,10 @@ def test_degenerate_fixed_variable():
 def test_warm_start_without_constraint_rows():
     """An LP with no rows ends with an empty basis, and its child still
     re-optimises from it."""
-    parent = lp(2, "maximize", [1, -1], [0, 0], [1, 1])
+    parent = lp(2, [1, -1], [0, 0], [1, 1])
     state = solve_lp(parent)
     assert state.objective == 1.0 and state.basis.size == 0
-    child = lp(2, "maximize", [1, -1], [0, 0], [0.5, 1])
+    child = lp(2, [1, -1], [0, 0], [0.5, 1])
     sol = solve_lp(child, warm=state)
     assert sol.warm
     assert sol.status == "optimal"
@@ -318,11 +320,11 @@ def test_redundant_equality_keeps_a_basis():
     With f fixed at 1 the rows contradict each other, which the warm solve
     proves from that basis, as the cold solve does."""
     rows = [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], [EQ, EQ], [1.0, 2.0]
-    state = solve_lp(lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 0], *rows))
+    state = solve_lp(lp(3, [1, 0, 0], [0, 0, 0], [1, 1, 0], *rows))
     assert state.status == "optimal" and state.objective == pytest.approx(1.0, abs=1e-9)
     assert state.basis.size == 2
     assert 3 + 1 in state.basis  # the second row's logical
-    child = lp(3, "maximize", [1, 0, 0], [0, 0, 1], [1, 1, 1], *rows)
+    child = lp(3, [1, 0, 0], [0, 0, 1], [1, 1, 1], *rows)
     sol = solve_lp(child, warm=state)
     assert sol.status == "infeasible" and sol.warm
     assert solve_lp(child).status == "infeasible"
@@ -330,26 +332,26 @@ def test_redundant_equality_keeps_a_basis():
 
 def test_warm_state_from_other_constraints_rejected():
     """max x with x <= 2 and with x <= 7 have the same shape; the state of
-    the first would give the second 2, not 7. So would x >= 2, the same A
+    the first would give the second 2, not 7. So would x = 2, the same A
     and rhs under another relation. The same A, relation and rhs objects
     serve, and so do equal ones. A solve without an optimum leaves no state
     to start from."""
-    a = lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [2.0])
-    b = lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [7.0])
+    a = lp(1, [1], [0], [10], [[1.0]], [LE], [2.0])
+    b = lp(1, [1], [0], [10], [[1.0]], [LE], [7.0])
     state = solve_lp(a)
     with pytest.raises(LpError, match="other constraints"):
         solve_lp(b, warm=state)
     assert solve_lp(b).objective == pytest.approx(7.0, abs=1e-9)
-    ge = replace(a, relation=[GE])
+    eq = replace(a, relation=[EQ])
     with pytest.raises(LpError, match="other constraints"):
-        solve_lp(ge, warm=state)
+        solve_lp(eq, warm=state)
     sol = solve_lp(replace(a, upper=np.array([1.5])), warm=state)
     assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)
-    again = lp(1, "maximize", [1], [0], [1.5], [[1.0]], [LE], [2.0])
+    again = lp(1, [1], [0], [1.5], [[1.0]], [LE], [2.0])
     assert again.A is not a.A and again.relation is not a.relation and again.rhs is not a.rhs
     sol = solve_lp(again, warm=state)
     assert sol.warm and sol.objective == pytest.approx(1.5, abs=1e-9)
-    failed = lp(1, "maximize", [1], [0], [10], [[1.0]], [LE], [-1.0])  # x <= -1, x >= 0
+    failed = lp(1, [1], [0], [10], [[1.0]], [LE], [-1.0])  # x <= -1, x >= 0
     for state in (solve_lp(failed), LpSolution("iteration-limit")):
         assert state.status in ("infeasible", "iteration-limit")
         with pytest.raises(LpError, match=state.status):
@@ -359,8 +361,8 @@ def test_warm_state_from_other_constraints_rejected():
 def test_row_view_reads_the_arrays():
     """LinearProgram.constraints yields Row(A[i], relation[i], rhs[i]) per
     row, and its coefficient rows cannot write to A."""
-    problem = lp(3, "maximize", [1, 0, 0], [0, 0, 0], [1, 1, 1],
-                 [[1.0, 0.0, -2.0], [0.0, 3.0, 0.0]], [GE, EQ], [1.0, 4.0])
+    problem = lp(3, [1, 0, 0], [0, 0, 0], [1, 1, 1],
+                 [[-1.0, 0.0, 2.0], [0.0, 3.0, 0.0]], [LE, EQ], [-1.0, 4.0])
     rows = problem.constraints
     assert len(rows) == 2
     for row, a, relation, rhs in zip(rows, problem.A, problem.relation, problem.rhs):
@@ -369,6 +371,6 @@ def test_row_view_reads_the_arrays():
         assert rel == row.relation == relation and b == row.rhs == rhs
         with pytest.raises(ValueError):
             coeffs[0] = 5.0
-    assert [row.relation for row in rows] == [GE, EQ]
-    assert problem.A[0, 0] == 1.0
-    assert lp(2, "maximize", [1, 1], [0, 0], [1, 1]).constraints == ()
+    assert [row.relation for row in rows] == [LE, EQ]
+    assert problem.A[0, 0] == -1.0
+    assert lp(2, [1, 1], [0, 0], [1, 1]).constraints == ()

@@ -6,13 +6,14 @@ relaxations."""
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prunemip.lp as lp_mod
-from prunemip.encode import encode_adversarial
-from prunemip.lp import EQ, GE, LE, LinearProgram, LpError, check_feasible, solve_lp
+from prunemip.encode import encode_adversarial, parse_lp
+from prunemip.lp import EQ, LE, LinearProgram, LpError, check_feasible, solve_lp
 from prunemip.nn import forward, init_mlp
 from prunemip.verify import runner_up
 
@@ -29,19 +30,16 @@ BOUND_KINDS = ("boxed", "wide", "boxed", "wide", "fixed")
 def highs(problem):
     """(status, objective) of the same LP solved by HiGHS."""
     n = problem.num_vars
-    sign = -1.0 if problem.objective_sense == "maximize" else 1.0
-    relation = np.asarray(problem.relation)
-    eq = relation == EQ
-    flip = np.where(relation == GE, -1.0, 1.0)  # a >= row as a <= row
-    A_ub, b_ub = (flip[:, None] * problem.A)[~eq], (flip * problem.rhs)[~eq]
+    eq = np.asarray(problem.relation) == EQ
+    A_ub, b_ub = problem.A[~eq], problem.rhs[~eq]
     bounds = [(None if lo == -INF else lo, None if hi == INF else hi)
               for lo, hi in zip(problem.lower, problem.upper)]
     kwargs = dict(A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
                   A_eq=problem.A[eq] if eq.any() else None,
                   b_eq=problem.rhs[eq] if eq.any() else None, bounds=bounds, method="highs")
-    res = linprog(sign * np.asarray(problem.objective, dtype=float), **kwargs)
+    res = linprog(-np.asarray(problem.objective, dtype=float), **kwargs)  # linprog minimizes
     if res.status == 0:
-        return "optimal", sign * res.fun
+        return "optimal", -res.fun
     assert res.status in (2, 3), res.message
     # HiGHS may only say "infeasible or unbounded": settle it with a zero objective
     feasible = linprog(np.zeros(n), **kwargs).status == 0
@@ -68,7 +66,8 @@ def _bounds(rng, n):
 
 def random_lp(seed):
     """Random relations and right-hand sides: optimal and infeasible LPs
-    both occur."""
+    both occur. A >= row is drawn as one and written as the <= row
+    -row <= -rhs, a minimized objective c as the maximized -c."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     lo, hi = _bounds(rng, n)
@@ -76,15 +75,20 @@ def random_lp(seed):
     for row in A:
         cols = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
         row[cols] = rng.normal(size=cols.size)
-        relation.append((LE, GE, EQ)[int(rng.integers(3))])
+        relation.append((LE, ">=", EQ)[int(rng.integers(3))])
         rhs.append(float(rng.normal()))
-    sense = ("maximize", "minimize")[int(rng.integers(2))]
-    return LinearProgram(n, sense, rng.normal(size=n), lo, hi, A, relation, np.array(rhs))
+        if relation[-1] == ">=":
+            row *= -1.0
+            relation[-1], rhs[-1] = LE, -rhs[-1]
+    minimize = int(rng.integers(2)) == 1
+    c = rng.normal(size=n)
+    return LinearProgram(n, -c if minimize else c, lo, hi, A, relation, np.array(rhs))
 
 
 def degenerate_lp(seed):
     """Many constraints tight at one point inside the bounds, some of them
-    repeated, so the optimum sits on a degenerate vertex."""
+    repeated, so the optimum sits on a degenerate vertex. Relations and
+    senses are drawn and written as in random_lp."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     lo, hi = _bounds(rng, n)
@@ -94,14 +98,17 @@ def degenerate_lp(seed):
     A, relation, rhs = [], [], []
     for _ in range(int(rng.integers(n, 3 * n))):
         a = np.round(rng.normal(size=n), 1)
-        rel = EQ if rng.random() < 0.2 else (LE, GE)[int(rng.integers(2))]
+        rel = EQ if rng.random() < 0.2 else (LE, ">=")[int(rng.integers(2))]
         copies = int(rng.integers(1, 3))
+        b = float(a @ v)
+        if rel == ">=":
+            a, rel, b = -a, LE, -b
         A += [a] * copies
         relation += [rel] * copies
-        rhs += [float(a @ v)] * copies
-    sense = ("maximize", "minimize")[int(rng.integers(2))]
-    return LinearProgram(n, sense, np.round(rng.normal(size=n), 1), lo, hi, np.array(A),
-                         relation, np.array(rhs))
+        rhs += [b] * copies
+    minimize = int(rng.integers(2)) == 1
+    c = np.round(rng.normal(size=n), 1)
+    return LinearProgram(n, -c if minimize else c, lo, hi, np.array(A), relation, np.array(rhs))
 
 
 def test_random_lps_match_highs():
@@ -218,13 +225,13 @@ def test_child_that_unbounds_a_complemented_column_is_solved_warm():
 
 
 def test_logical_at_its_implied_bound_matches_highs():
-    """min x0 - x1 subject to x0 - x1 <= 3 and x0 + x1 + x2 = 2, x0 in
+    """max x1 - x0 subject to x0 - x1 <= 3 and x0 + x1 + x2 = 2, x0 in
     [0, 2], x1 in [0, u], x2 in [0, 1], 1 <= u <= 2: the optimum takes x1
     to u, so the <= row's activity is its least, -u, and its logical sits
     at its upper bound 3 + u, rhs less that least activity. From the
     parent's u = 1.5, children that loosen or tighten u move that bound,
     warm as cold, and match HiGHS."""
-    parent = LinearProgram(3, "minimize", np.array([1.0, -1.0, 0.0]), np.zeros(3),
+    parent = LinearProgram(3, np.array([-1.0, 1.0, 0.0]), np.zeros(3),
                            np.array([2.0, 1.5, 1.0]),
                            np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]), [LE, EQ],
                            np.array([3.0, 2.0]))
@@ -233,7 +240,7 @@ def test_logical_at_its_implied_bound_matches_highs():
         child = replace(parent, upper=np.array([2.0, u, 1.0]))
         assert _assert_warm_matches_cold_and_highs(child, state) == "optimal"
         for sol in (solve_lp(child, warm=state), solve_lp(child)):
-            assert sol.objective == pytest.approx(-u, abs=1e-9)
+            assert -sol.objective == pytest.approx(-u, abs=1e-9)
             logical = parent.rhs[0] - parent.A[0] @ sol.primal
             assert logical == pytest.approx(3.0 + u, abs=1e-9)
 
@@ -348,18 +355,18 @@ def test_bound_flips_count_toward_iteration_limit(monkeypatch):
     iteration: stopped after one, the dual reports its pivot and 2 + 6
     flips."""
     n = 6
-    problem = LinearProgram(n, "maximize", np.zeros(n), np.zeros(n), np.ones(n),
+    problem = LinearProgram(n, np.zeros(n), np.zeros(n), np.ones(n),
                             np.ones((1, n)), [EQ], np.array([float(n)]))
     sol = solve_lp(problem)
     assert sol.status == "optimal"
     assert np.allclose(sol.primal, 1.0)
     assert (sol.pivots, sol.bound_flips) == (1, 5)
 
-    rows = LinearProgram(n, "maximize", np.zeros(n), np.zeros(n), np.full(n, 2.0),
+    rows = LinearProgram(n, np.zeros(n), np.zeros(n), np.full(n, 2.0),
                          np.eye(n), [EQ] * n, np.ones(n))
     assert solve_lp(rows).pivots == n
     y = np.eye(n + 1)[0]
-    cones = LinearProgram(2 * (n + 1), "maximize", np.tile(y, 2), np.zeros(2 * (n + 1)),
+    cones = LinearProgram(2 * (n + 1), np.tile(y, 2), np.zeros(2 * (n + 1)),
                           np.tile(np.r_[2.0 * n, np.ones(n)], 2),
                           np.kron(np.eye(2), y - (1 - y)), [LE, LE], np.zeros(2))
     sol = solve_lp(cones)
@@ -372,3 +379,19 @@ def test_bound_flips_count_toward_iteration_limit(monkeypatch):
     monkeypatch.setattr(lp_mod, "_MAX_ITER", 0)
     sol = solve_lp(cones)
     assert (sol.status, sol.pivots, sol.bound_flips) == ("iteration-limit", 1, 2 + n)
+
+
+def test_bland_fallback_ends_the_root_lp_that_cycles(monkeypatch):
+    """The root LP of the verify-desk base net (bench/nets/desk_base.json)
+    at input 111 and delta 1, with OBBT bounds, as write_lp wrote it: 52
+    rows and 61 columns. With the Bland fallback on from the first
+    iteration, a leaving row picked by smallest basic variable and an
+    entering column picked by largest |alpha| cycle to the iteration
+    limit. Bland's rule enters the smallest column among tied ratios, and
+    the solve ends optimal at HiGHS's optimum."""
+    model = parse_lp((Path(__file__).parent / "data" / "desk_base_111_root.lp").read_text())
+    assert model.A.shape == (52, 61)
+    monkeypatch.setattr(lp_mod, "_BLAND_FACTOR", 0)
+    sol = solve_lp(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(highs(model)[1], rel=1e-9, abs=1e-9)

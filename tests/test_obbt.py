@@ -111,10 +111,10 @@ def test_failed_lps_keep_the_interval_bounds(monkeypatch):
 
 
 def test_lp_without_an_optimum_keeps_the_interval_bound(monkeypatch):
-    """The first OBBT LP (layer 1, neuron 0, maximize) ends infeasible, as a
-    relaxation over a box can only numerically: that neuron keeps its
-    interval upper bound, its layer stays marked interval, and every other
-    bound is the one full OBBT finds."""
+    """The first OBBT LP (layer 1, neuron 0, its upper bound: max W[0].x)
+    ends infeasible, as a relaxation over a box can only numerically: that
+    neuron keeps its interval upper bound, its layer stays marked interval,
+    and every other bound is the one full OBBT finds."""
     net = random_net(42, input_dim=3, hidden=[5, 5], classes=2)
     box = unit_box(3)
     seed_table = interval_bounds(net, box)
@@ -123,12 +123,13 @@ def test_lp_without_an_optimum_keeps_the_interval_bound(monkeypatch):
     solve_lp, calls = lp_mod.solve_lp, []
 
     def first_infeasible(lp, warm=None):
-        calls.append(lp.objective_sense)
+        calls.append(lp.objective)
         return lp_mod.LpSolution("infeasible") if len(calls) == 1 else solve_lp(lp, warm)
 
     monkeypatch.setattr(lp_mod, "solve_lp", first_infeasible)
     table = obbt_tighten(net, box)
-    assert calls[0] == "maximize"
+    W = net.layers[1][0][0]
+    assert np.array_equal(calls[0][calls[0] != 0], W[W != 0])
     assert table.provenance == ["obbt", "interval"]
     assert table.hi[1][0] == seed_table.hi[1][0]
     expected_hi = [full.hi[0], np.concatenate([seed_table.hi[1][:1], full.hi[1][1:]])]
