@@ -40,14 +40,15 @@ has the wrong sign is complemented, so the tableau is dual feasible. (3) The
 bounded dual simplex lets the most infeasible basic variable (below 0 or
 above its upper bound) leave; after _BLAND_FACTOR * (n + m) iterations, the
 infeasible one of smallest column. Its ratio test passes the breakpoints in
-ratio order while the leaving row stays infeasible with them at their other
-bound, complements every passed column at once, and enters at the first
-breakpoint it cannot pass: the largest |alpha| among tied ratios, or under
-Bland's rule the smallest column. A row that stays infeasible with every
-breakpoint passed proves the LP infeasible. A variable that leaves above its
-upper bound is complemented. Once the basis is primal feasible the reduced
-costs are checked again: where round-off left one of the wrong sign, steps
-(2) and (3) repeat; otherwise the tableau is optimal.
+(ratio, column) order while the leaving row stays infeasible with them at
+their other bound, complements every passed column at once, and enters among
+the ties at the first breakpoint it cannot pass: the largest |alpha|, or
+under Bland's rule the smallest column. A row with no breakpoint, or with
+every breakpoint passed and still infeasible, proves the LP infeasible. A
+variable that leaves above its upper bound is complemented. Once the basis
+is primal feasible the reduced costs are checked again: where round-off left
+one of the wrong sign, steps (2) and (3) repeat; otherwise the tableau is
+optimal.
 
 A solve ends with a status: "optimal", "infeasible", or "iteration-limit"
 once it passes _MAX_ITER iterations, an iteration being one pivot with the
@@ -196,10 +197,12 @@ def _pivot(T, basis, r, j):
 
 def _flip(T, ub, flipped, j):
     """Complement nonbasic column j (an index or an index array), moving it
-    to its other bound."""
-    T[:, -1] -= np.dot(T[:, j], ub[j])
-    T[:, j] *= -1.0
-    flipped[j] = ~flipped[j]
+    to its other bound. An empty array moves none, at the cost of one test:
+    most ratio tests pass no breakpoint."""
+    if np.size(j):
+        T[:, -1] -= np.dot(T[:, j], ub[j])
+        T[:, j] *= -1.0
+        flipped[j] = ~flipped[j]
 
 
 def _dual_feasible(T, basis, ub, flipped, tally):
@@ -208,9 +211,8 @@ def _dual_feasible(T, basis, ub, flipped, tally):
     wrong = (T[0, :-1] < -PIVOT_TOL) & (ub > 0.0)  # a column of width 0 cannot move
     wrong[basis] = False
     k = int(np.count_nonzero(wrong))
-    if k:
-        _flip(T, ub, flipped, np.flatnonzero(wrong))
-        tally["flips"] += k
+    _flip(T, ub, flipped, np.flatnonzero(wrong))
+    tally["flips"] += k
     return k
 
 
@@ -221,8 +223,11 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
 
     The tableau is made dual feasible first, and again each time the basis
     is primal feasible. An iteration is one pivot plus the bound flips of
-    its ratio test, which passes every breakpoint that leaves the leaving
-    row infeasible; tally["pivots"] counts them over the whole solve.
+    its ratio test; tally["pivots"] counts them over the whole solve. The
+    ratio test passes the breakpoints in (ratio, column) order while the
+    leaving row stays infeasible with them passed, and enters among the ties
+    at the first one it cannot pass. A row with no breakpoint, or with every
+    breakpoint passed, proves the LP infeasible.
     """
     movable = ub > 0.0  # a column of width 0 cannot move
     _dual_feasible(T, basis, ub, flipped, tally)
@@ -246,22 +251,17 @@ def _run_dual(T, basis, ub, flipped, bland_after, tally):
         can = (alpha > PIVOT_TOL) & movable  # columns that move the leaving one
         can[basis] = False
         cand = np.flatnonzero(can)
-        if cand.size == 0:
-            return "infeasible"
         ratios = np.maximum(T[0, cand], 0.0) / alpha[cand]
-        tied = cand[ratios <= ratios.min() + 1e-12]
-        j = int(tied[0] if bland else tied[np.argmax(alpha[tied])])  # cand is sorted
-        if excess[r] - ub[j] * alpha[j] > FEAS_TOL:  # j can be passed: walk the breakpoints
-            order = np.lexsort((cand, ratios))
-            slope = excess[r] - np.cumsum(ub[cand[order]] * alpha[cand[order]])
-            k = int(np.count_nonzero(slope > FEAS_TOL))  # the slope only falls
-            if k == cand.size:  # every bound passed and the row is still infeasible
-                return "infeasible"
-            _flip(T, ub, flipped, cand[order[:k]])
-            tally["flips"] += k
-            rest = order[k:]
-            last = cand[rest[ratios[rest] <= ratios[rest[0]] + 1e-12]]
-            j = int(last.min() if bland else last[np.argmax(alpha[last])])
+        order = np.lexsort((cand, ratios))  # the breakpoints, ties by column
+        slope = excess[r] - np.cumsum(ub[cand[order]] * alpha[cand[order]])
+        k = int(np.count_nonzero(slope > FEAS_TOL))  # the slope only falls
+        if k == cand.size:  # no breakpoint, or every one passed: the row stays infeasible
+            return "infeasible"
+        _flip(T, ub, flipped, cand[order[:k]])
+        tally["flips"] += k
+        rest = order[k:]
+        last = cand[rest[ratios[rest] <= ratios[rest[0]] + 1e-12]]
+        j = int(last.min() if bland else last[np.argmax(alpha[last])])
         leaving = basis[r]
         _pivot(T, basis, r + 1, j)
         tally["pivots"] += 1

@@ -118,8 +118,9 @@ def spr_step(net, cfg, lr):
     radial shrink that snaps the group to zero once the remaining norm is
     smaller than the step; a raw subgradient step would instead oscillate
     around zero at radius lr*lam and no group could ever be pruned. The
-    smooth cases B and C take the ordinary gradient step. Zero groups stay
-    as they are. Each layer is updated in place, all its groups at once.
+    smooth cases B and C take the ordinary gradient step. A zero group is in
+    case A, so it stays zero. Each layer is updated in place, all its groups
+    at once.
     """
     step = lr * cfg.lam
     shrink = step * _case_a_slope(cfg.alpha)
@@ -130,7 +131,5 @@ def spr_step(net, cfg, lr):
         new[case_a] = 0.0
         keep = case_a & (l2 > shrink)
         new[keep] = G[keep] * (1.0 - shrink / l2[keep])[:, None]
-        zero = l2 == 0.0
-        new[zero] = G[zero]
         W[:] = new[:, :-1]
         b[:] = new[:, -1]

@@ -18,13 +18,15 @@ def _load_exactness():
 def test_exactness_first_record_is_a_deterministic_verdict_without_timings():
     """The first record is the base net's verify of the first verify-desk
     pair of bench seed 1: its verdict agrees with HiGHS's bound on the
-    margin in bench/nets/reference.json, and a second run prints it again
-    bit for bit."""
+    margin in bench/nets/reference.json, its bound tightening solved two
+    LPs per neuron of the second hidden layer, and a second run prints it
+    again bit for bit."""
     tool = _load_exactness()
     record = next(tool.records())
     assert list(record) == ["workload", "seed", "index", "delta", "side", "outcome", "margin",
                             "nodes", "lp_solves", "pivots", "bound_flips", "warm_starts",
-                            "cold_fallbacks", "failed_lps"]
+                            "cold_fallbacks", "failed_lps", "obbt_lps", "obbt_pivots",
+                            "obbt_flips"]
     assert (record["workload"], record["seed"], record["side"]) == ("verify-desk", 1, "base")
     reference = json.loads((ROOT / "bench" / "nets" / "reference.json").read_text())
     pair = next(c for c in reference["desk"]["candidates"]
@@ -33,4 +35,5 @@ def test_exactness_first_record_is_a_deterministic_verdict_without_timings():
     assert record["outcome"] == ("robust" if highs_ub < 0 else "counterexample")
     assert float(record["margin"]) <= highs_ub + 1e-6
     assert record["lp_solves"] == record["nodes"] == record["warm_starts"] + 1
+    assert record["obbt_lps"] == 24  # two per neuron of the second hidden layer of 12
     assert json.dumps(record) == json.dumps(next(tool.records()))

@@ -7,8 +7,9 @@ of bench seeds 1-2: the verdict and the solve counters, no timings.
 Run it in two checkouts: they reach the same verdicts by the same search,
 bit for bit, when `diff a.jsonl b.jsonl` prints nothing. Each line holds
 the workload, the seed, the input index, delta, the side (base or pruned
-net), the outcome, repr(margin), the node count and the six counters of
-the branch-and-bound stats.
+net), the outcome, repr(margin), the node count, the six counters of the
+branch-and-bound stats, and the LPs that bound tightening solved with their
+pivots and bound flips.
 """
 
 import json
@@ -22,10 +23,32 @@ sys.path.insert(0, str(BENCH))
 from benchenv import NETS  # noqa: E402
 
 import spec  # noqa: E402
+import prunemip.lp as lp  # noqa: E402
 from prunemip import build_instance, load_model, verify  # noqa: E402
 
 SEEDS = (1, 2)
 WORKLOADS = ("verify-desk", "verify-wide")
+
+
+def counted_verify(inst):
+    """verify(inst), and the LPs of its bound tightening with their pivots
+    and bound flips. obbt_tighten looks solve_lp up in prunemip.lp at call
+    time, so wrapping it there counts those LPs; branch-and-bound calls its
+    own import, which stays unwrapped."""
+    solve_lp, obbt = lp.solve_lp, {"obbt_lps": 0, "obbt_pivots": 0, "obbt_flips": 0}
+
+    def counting(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        obbt["obbt_lps"] += 1
+        obbt["obbt_pivots"] += sol.pivots
+        obbt["obbt_flips"] += sol.bound_flips
+        return sol
+
+    lp.solve_lp = counting
+    try:
+        return verify(inst), obbt
+    finally:
+        lp.solve_lp = solve_lp
 
 
 def records():
@@ -45,11 +68,11 @@ def records():
                 for side, net in nets.items():
                     inst = build_instance(net, data.inputs[index], int(data.labels[index]),
                                           delta, units=shape.units, clamp=shape.clamp)
-                    verdict = verify(inst)
+                    verdict, obbt = counted_verify(inst)
                     yield {"workload": workload, "seed": seed, "index": index, "delta": delta,
                            "side": side, "outcome": verdict.outcome,
                            "margin": repr(verdict.margin), "nodes": verdict.report.nodes,
-                           **verdict.report.stats}
+                           **verdict.report.stats, **obbt}
 
 
 def main():
