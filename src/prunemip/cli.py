@@ -93,7 +93,6 @@ def cmd_train(args):
         meta["spr"] = {"lambda": reg.lam, "alpha": reg.alpha, "m": reg.m}
     save_model(net, args.out, training_meta=meta)
     Path(str(args.out) + ".log.json").write_text(strict_json(history, indent=1) + "\n")
-    _write_manifest(args.out, args)
     print(f"trained {format_arch(widths)} -> {args.out} "
           f"(final accuracy {meta['final_accuracy']:.4f})")
     return 0
@@ -123,7 +122,6 @@ def cmd_prune(args):
         "threshold": report.threshold, "post_accuracy": report.post_accuracy,
         "log": log,
     }, indent=1) + "\n")
-    _write_manifest(args.out, args)
     print(f"pruned {args.arch} -> {report.pruned_arch} "
           f"(accuracy {report.post_accuracy:.4f}) -> {args.out}")
     return 0
@@ -144,10 +142,10 @@ def _pick_instance(mlp, args):
     return data.inputs[idx], int(data.labels[idx])
 
 
-def _resolve_units_clamp(args):
+def _resolve_units_clamp(mnist, units=None, clamp=None):
     """Image data defaults to raw-pixel deltas on a [0,1]-clamped box."""
-    units = args.units if args.units is not None else ("raw-pixel" if args.mnist else "scaled")
-    clamp = args.clamp if args.clamp is not None else bool(args.mnist)
+    units = units if units is not None else ("raw-pixel" if mnist else "scaled")
+    clamp = clamp if clamp is not None else bool(mnist)
     return units, clamp
 
 
@@ -158,7 +156,7 @@ def _instance(args):
     """
     mlp, _ = load_model(args.model)
     x, label = _pick_instance(mlp, args)
-    units, clamp = _resolve_units_clamp(args)
+    units, clamp = _resolve_units_clamp(args.mnist, args.units, args.clamp)
     return build_instance(mlp, x, label, args.delta, units=units, clamp=clamp)
 
 
@@ -172,7 +170,6 @@ def cmd_verify(args):
     })
     if args.out:
         Path(args.out).write_text(doc + "\n")
-        _write_manifest(args.out, args)
     print(doc)
     return {"robust": EXIT_ROBUST, "counterexample": EXIT_COUNTEREXAMPLE,
             "timeout": EXIT_TIMEOUT, "unknown": EXIT_UNKNOWN}[verdict.outcome]
@@ -184,7 +181,8 @@ def cmd_bench(args):
     extras = {"cross_checks": [], "errors": []}
     archs = [(arch, parse_arch(arch)) for arch in args.archs.split(",")]
     deltas = [float(v) for v in args.deltas.split(",")]
-    if any(not delta >= 0 or (delta == math.inf and not args.mnist) for delta in deltas):
+    _, clamp = _resolve_units_clamp(args.mnist)
+    if any(not delta >= 0 or (delta == math.inf and not clamp) for delta in deltas):
         raise ValueError("each delta must be >= 0, and finite unless --mnist clamps the box")
     grid = _grid(args)
     check_prune_args(grid, args.tau, args.fine_tune_epochs)
@@ -208,7 +206,6 @@ def cmd_bench(args):
         "errors": extras["errors"],
     }
     Path(str(args.out) + ".summary.json").write_text(json.dumps(summary, indent=1) + "\n")
-    _write_manifest(args.out, args)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -216,24 +213,18 @@ def cmd_bench(args):
 def _bench_one(args, data, arch, widths, cfg, grid, deltas, solver, extras):
     pruned, report, log = prune_pipeline(widths, data, grid, cfg, tau=args.tau,
                                          fine_tune_epochs=args.fine_tune_epochs)
-    baseline = report.baseline
-    grid_best = next(
-        (f"{r['lambda']}-{r['alpha']}" for r in log
-         if r.get("kind") == "grid" and r.get("pruned_arch") == report.pruned_arch),
-        "",
-    )
-    # prune_pipeline measured both nets on this data
-    base_acc = next(r["accuracy"] for r in log if r["kind"] == "baseline")
-    sides = ((baseline, "", "", base_acc),
-             (pruned, grid_best, report.pruned_arch, report.post_accuracy))
+    baseline, selected = report.baseline, log[-1]
+    sides = ((baseline, "", "", selected["baseline_accuracy"]),
+             (pruned, f"{selected['lambda']}-{selected['alpha']}", selected["pruned_arch"],
+              selected["accuracy"]))
+    units, clamp = _resolve_units_clamp(args.mnist)
     idx = _first_correct(baseline, data)
     rows = []
     for delta in deltas:
         for net, tag, pruned_arch, acc in sides:
             try:
                 inst = build_instance(net, data.inputs[idx], int(data.labels[idx]), delta,
-                                      units="raw-pixel" if args.mnist else "scaled",
-                                      clamp=bool(args.mnist))
+                                      units=units, clamp=clamp)
             except InvalidInstanceError:
                 extras["errors"].append({"arch": arch, "seed": cfg.seed, "delta": delta,
                                          "error": "clean input misclassified"})
@@ -267,7 +258,6 @@ def cmd_export_lp(args):
                                bounds_mode="obbt" if args.obbt else "interval",
                                clamp=inst.clamp)
     export_lp(model, args.out)
-    _write_manifest(args.out, args)
     print(f"wrote {args.out} ({model.num_vars} vars, {model.rhs.size} rows, "
           f"{model.num_binaries} binaries)")
     return 0
@@ -277,7 +267,6 @@ def cmd_gen_data(args):
     data = _parse_synth_spec(args.synthetic, args.data_seed)
     np.savez(args.out, inputs=data.inputs, labels=data.labels,
              num_classes=data.num_classes)
-    _write_manifest(args.out, args)
     print(f"wrote {len(data)} samples to {args.out}")
     return 0
 
@@ -380,11 +369,15 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; a value the library rejects, or a file that cannot
-    be read or written, exits EXIT_USAGE."""
+    """Run one command and write the manifest of its --out; a value the
+    library rejects, or a file that cannot be read or written, exits
+    EXIT_USAGE."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if args.out:
+            _write_manifest(args.out, args)
+        return code
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_MISCLASSIFIED

@@ -1,6 +1,7 @@
 """Dataset ingestion: IDX-format MNIST files and synthetic Gaussian blobs."""
 
 import gzip
+import math
 import struct
 from pathlib import Path
 
@@ -30,29 +31,32 @@ def _read_exact(f, n, what):
     return data
 
 
-def load_idx_images(path):
+def _read_idx(path, magic, kind, payload, dims=()):
+    """The item count and payload bytes of an IDX file whose header is the
+    magic, the count and each item's dimensions `dims`, and whose payload
+    fills the rest of the file exactly."""
     with _open_maybe_gzip(path) as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IMAGES_MAGIC:
-            raise IdxFormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
-        if (rows, cols) != (28, 28):
-            raise IdxFormatError(f"unexpected image dimensions {rows}x{cols}, expected 28x28")
-        raw = _read_exact(f, count * rows * cols, "image pixels")
+        header = _read_exact(f, 8 + 4 * len(dims), f"{kind} header")
+        found, count, *shape = struct.unpack(f">{2 + len(dims)}I", header)
+        if found != magic:
+            raise IdxFormatError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+        if tuple(shape) != dims:
+            raise IdxFormatError(f"unexpected {kind} dimensions {'x'.join(map(str, shape))}, "
+                                 f"expected {'x'.join(map(str, dims))}")
+        raw = _read_exact(f, count * math.prod(dims), payload)
         if f.read(1):
-            raise IdxFormatError("trailing bytes after image pixels")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(float) / 255.0
+            raise IdxFormatError(f"trailing bytes after {payload}")
+    return count, np.frombuffer(raw, dtype=np.uint8)
+
+
+def load_idx_images(path):
+    count, pixels = _read_idx(path, IMAGES_MAGIC, "image", "image pixels", dims=(28, 28))
+    return pixels.reshape(count, 28 * 28).astype(float) / 255.0
 
 
 def load_idx_labels(path):
-    with _open_maybe_gzip(path) as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != LABELS_MAGIC:
-            raise IdxFormatError(f"bad label magic 0x{magic:08x}, expected 0x{LABELS_MAGIC:08x}")
-        raw = _read_exact(f, count, "labels")
-        if f.read(1):
-            raise IdxFormatError("trailing bytes after labels")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    _, labels = _read_idx(path, LABELS_MAGIC, "label", "labels")
+    return labels.astype(np.int64)
 
 
 _SPLIT_FILES = {

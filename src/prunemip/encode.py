@@ -283,7 +283,8 @@ def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True,
 
     It encodes the margin network, whose output layer is row h minus row k
     of the net's, and maximizes its one output column, `margin`. clamp
-    intersects the box with [0, 1] (pixel domain); bounds_mode is "interval"
+    intersects the box with [0, 1] (pixel domain) and needs x in [0, 1],
+    since that box would otherwise exclude x; bounds_mode is "interval"
     or "obbt"; deadline (a time.monotonic() value) stops OBBT early with the
     bounds tightened so far.
     """
@@ -292,6 +293,8 @@ def encode_adversarial(mlp, x, delta, k, h, bounds_mode="interval", clamp=True,
         raise ValueError("delta must be >= 0")
     if not (0 <= k < mlp.output_dim and 0 <= h < mlp.output_dim) or k == h:
         raise ValueError(f"invalid class pair ({k}, {h})")
+    if clamp and not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("clamp needs an input in [0, 1]")
     lo, hi = x - delta, x + delta
     if clamp:
         lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)

@@ -111,9 +111,10 @@ def prune_pipeline(
     when the baseline's accuracy is at or below chance (1/C for C classes),
     since the floor then means nothing.
 
-    Returns (selected Mlp, PruneReport, log), log being one dict per grid
-    point plus a "baseline" entry; the report's baseline is the plain-SGD
-    net the floor was measured on.
+    Returns (selected Mlp, PruneReport, log). The log holds a "baseline"
+    entry, one "grid" entry per grid point and, last, a "selected" entry
+    that names the chosen grid point by its lambda, alpha and m. The
+    report's baseline is the plain-SGD net the floor was measured on.
     """
     check_prune_args(grid, tau, fine_tune_epochs)
     if not acc_floor >= 0:
@@ -141,20 +142,21 @@ def prune_pipeline(
             "pruned_arch": report.pruned_arch, "accuracy": acc,
             "neurons_removed": report.neurons_removed,
         })
-        candidates.append((remaining, acc, tuned, report))
+        candidates.append((remaining, acc, tuned, report, cfg))
     if not candidates:
         raise OverPrunedError(f"every grid point over-pruned a layer at tau={tau}; "
                               "lower tau or lambda")
     eligible = [c for c in candidates if c[1] >= base_acc - acc_floor]
     if eligible:
-        remaining, acc, net, report = min(eligible, key=lambda c: (c[0], -c[1]))
+        remaining, acc, net, report, cfg = min(eligible, key=lambda c: (c[0], -c[1]))
         flag = "ok" if report.neurons_removed else "nothing pruned"
     else:
-        remaining, acc, net, report = max(candidates, key=lambda c: c[1])
+        remaining, acc, net, report, cfg = max(candidates, key=lambda c: c[1])
         flag = "floor unmet"
     if base_acc <= 1.0 / data.num_classes:
         flag = "baseline diverged"
-    log.append({"kind": "selected", "pruned_arch": report.pruned_arch, "accuracy": acc,
+    log.append({"kind": "selected", "lambda": cfg.lam, "alpha": cfg.alpha, "m": cfg.m,
+                "pruned_arch": report.pruned_arch, "accuracy": acc,
                 "baseline_accuracy": base_acc, "flag": flag})
     report.baseline = baseline
     return net, report, log

@@ -87,6 +87,7 @@ def test_train_bad_arch_exits(tmp_path):
     None,  # no --model: argparse's own usage error
     ["--label", "99"],  # a dataset sample carries its own label
     ["--label", "0"],
+    ["--clamp"],  # sample 0 of the default blobs lies outside [0, 1]
 ])
 def test_verify_bad_argument_exits_usage(flags, trained_model, capsys, tmp_path):
     (tmp_path / "x.json").write_text(json.dumps([0.5] * 6))
@@ -334,6 +335,21 @@ def test_bench_desk_scale(tmp_path):
         assert row[6] in ("YES", "NO", "-")
     summary = json.loads((tmp_path / "bench.csv.summary.json").read_text())
     assert "cross_check_transfer" in summary and "errors" in summary
+
+
+def test_bench_names_the_selected_grid_point(tmp_path):
+    """Both grid points prune to 1x12-1x11; the pipeline selects lambda 1.0
+    (accuracy 0.9833, against 0.3333 at lambda 0.5), and the pruned row
+    names that point next to its accuracy."""
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--archs", "2x12", "--synthetic", "margin=3.0", "--epochs", "15",
+                   "--batch", "32", "--seed", "4", "--reps", "1",
+                   "--grid-lambdas", "0.5,1.0", "--grid-alphas", "0.1", "--deltas", "0.5",
+                   "--time-limit", "60", "--out", str(out)) == 0
+    with open(out) as f:
+        rows = list(csv.reader(f))[1:]
+    assert [row[:3] + row[5:6] for row in rows] == [["2x12", "", "0.9883", ""],
+                                                    ["2x12", "1.0-0.1", "0.9833", "1x12-1x11"]]
 
 
 @pytest.mark.parametrize("flags", [["--deltas", "-1"], ["--deltas", "1,nan"],

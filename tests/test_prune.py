@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prunemip.archs import parse_arch
+from prunemip.data import gen_synthetic
 from prunemip.nn import Dataset, Mlp, TrainConfig, accuracy, forward, init_mlp, sgd_train
 from prunemip.prune import (
     OverPrunedError,
@@ -185,6 +186,24 @@ def test_pipeline_selects_smaller_net(separable_data):
     assert sum(report.kept) < 16
     assert sel["accuracy"] >= base["accuracy"] - 0.01
     assert net.hidden_widths == parse_arch(report.pruned_arch)
+
+
+def test_pipeline_selected_entry_names_its_grid_point():
+    """Both grid points prune to 1x12-1x11, so the architecture alone does
+    not tell which one was selected; the selected entry's lambda, alpha and
+    m name the grid row of the returned net."""
+    data = gen_synthetic(6, 3, 600, 3.0, 0)
+    grid = [SprConfig(0.5, 0.1), SprConfig(1.0, 0.1)]
+    cfg = TrainConfig(epochs=15, batch_size=32, learning_rate=0.1, seed=4)
+    _, report, log = prune_pipeline([12, 12], data, grid, cfg)
+    rows = [r for r in log if r["kind"] == "grid"]
+    assert [r["pruned_arch"] for r in rows] == ["1x12-1x11"] * 2
+    assert rows[0]["accuracy"] != rows[1]["accuracy"]
+    sel = log[-1]
+    (row,) = [r for r in rows
+              if (r["lambda"], r["alpha"], r["m"]) == (sel["lambda"], sel["alpha"], sel["m"])]
+    assert (row["pruned_arch"], row["accuracy"]) == (report.pruned_arch, report.post_accuracy)
+    assert (sel["pruned_arch"], sel["accuracy"]) == (report.pruned_arch, report.post_accuracy)
 
 
 def test_pipeline_empty_grid_rejected(separable_data):

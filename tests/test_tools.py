@@ -1,5 +1,5 @@
-"""tools/exactness.py: the record it prints for the first verify of its
-rounds."""
+"""tools/exactness.py: the records it prints for the first verify and the
+first pipeline of its rounds."""
 
 import importlib.util
 import json
@@ -22,7 +22,7 @@ def test_exactness_first_record_is_a_deterministic_verdict_without_timings():
     LPs per neuron of the second hidden layer, and a second run prints it
     again bit for bit."""
     tool = _load_exactness()
-    record = next(tool.records())
+    record = next(tool.verify_records())
     assert list(record) == ["workload", "seed", "index", "delta", "side", "outcome", "margin",
                             "nodes", "lp_solves", "pivots", "bound_flips", "warm_starts",
                             "cold_fallbacks", "failed_lps", "obbt_lps", "obbt_pivots",
@@ -36,4 +36,20 @@ def test_exactness_first_record_is_a_deterministic_verdict_without_timings():
     assert float(record["margin"]) <= highs_ub + 1e-6
     assert record["lp_solves"] == record["nodes"] == record["warm_starts"] + 1
     assert record["obbt_lps"] == 24  # two per neuron of the second hidden layer of 12
-    assert json.dumps(record) == json.dumps(next(tool.records()))
+    assert json.dumps(record) == json.dumps(next(tool.verify_records()))
+
+
+def test_exactness_first_pipeline_record_names_its_selected_grid_point():
+    """The first pipeline record is the first train-prune pipeline of bench
+    seed 1: its selected entry names the grid point, and a second run
+    prints it again bit for bit."""
+    tool = _load_exactness()
+    record = next(tool.pipeline_records())
+    assert list(record) == ["workload", "seed", "init_seed", "pruned_arch", "post_accuracy",
+                            "selected", "sha256"]
+    assert (record["workload"], record["seed"]) == ("train-prune", 1)
+    assert list(record["selected"]) == ["kind", "lambda", "alpha", "m", "pruned_arch",
+                                        "accuracy", "baseline_accuracy", "flag"]
+    assert record["selected"]["pruned_arch"] == record["pruned_arch"]
+    assert repr(record["selected"]["accuracy"]) == record["post_accuracy"]
+    assert json.dumps(record) == json.dumps(next(tool.pipeline_records()))

@@ -13,7 +13,7 @@ import prunemip.lp as lp_mod
 from prunemip.bnb import SolveReport, SolverConfig, brute_force_verify
 from prunemip.encode import InputBox
 from prunemip.lp import LpSolution
-from prunemip.nn import Mlp, forward, init_mlp
+from prunemip.nn import Mlp, TrainConfig, forward, init_mlp, sgd_train
 from prunemip.verify import (
     InvalidInstanceError,
     build_instance,
@@ -60,6 +60,19 @@ def test_non_finite_delta_rejected():
     for delta, clamp in ((math.nan, True), (math.inf, False)):
         with pytest.raises(ValueError):
             verify(build_instance(net, x, label, delta, clamp=clamp))
+
+
+def test_clamp_rejects_an_input_outside_the_unit_box(separable_data):
+    """Clipping the box of an x outside [0, 1] gives a box that excludes x:
+    this instance once came back as a counterexample 5.48 away from x at
+    delta 0.5."""
+    net, _ = sgd_train(init_mlp(6, [8], 3, 1), separable_data,
+                       TrainConfig(epochs=20, batch_size=32, learning_rate=0.1, seed=1))
+    x, label = separable_data.inputs[2], int(separable_data.labels[2])
+    assert np.abs(x).max() > 1.0
+    inst = build_instance(net, x, label, 0.5)
+    with pytest.raises(ValueError, match=r"clamp needs an input in \[0, 1\]"):
+        verify(inst)
 
 
 def test_delta_zero_always_robust():

@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Print one JSON line per verify of the verify-desk and verify-wide rounds
-of bench seeds 1-2: the verdict and the solve counters, no timings.
+of bench seeds 1-2, the verdict and the solve counters, and then one line
+per prune_pipeline of their train-prune rounds; no timings.
 
     python3 tools/exactness.py > a.jsonl
 
 Run it in two checkouts: they reach the same verdicts by the same search,
-bit for bit, when `diff a.jsonl b.jsonl` prints nothing. Each line holds
-the workload, the seed, the input index, delta, the side (base or pruned
-net), the outcome, repr(margin), the node count, the six counters of the
-branch-and-bound stats, and the LPs that bound tightening solved with their
-pivots and bound flips.
+and train and prune the same nets, bit for bit, when `diff a.jsonl b.jsonl`
+prints nothing. A verify line holds the workload, the seed, the input
+index, delta, the side (base or pruned net), the outcome, repr(margin), the
+node count, the six counters of the branch-and-bound stats, and the LPs
+that bound tightening solved with their pivots and bound flips. A pipeline
+line holds the workload, the seed, the init seed, the pruned architecture,
+repr(post_accuracy), the log's selected entry and a sha256 over the
+selected net's weights and biases.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -24,6 +29,7 @@ from benchenv import NETS  # noqa: E402
 
 import spec  # noqa: E402
 import prunemip.lp as lp  # noqa: E402
+from run import TrainPruneWorkload  # noqa: E402
 from prunemip import build_instance, load_model, verify  # noqa: E402
 
 SEEDS = (1, 2)
@@ -51,10 +57,9 @@ def counted_verify(inst):
         lp.solve_lp = solve_lp
 
 
-def records():
-    """The records in print order: per workload and seed, its round's pairs,
-    each verified on the base and then the pruned net, as bench/run.py
-    does."""
+def verify_records():
+    """Per workload and seed, its round's pairs, each verified on the base
+    and then the pruned net, as bench/run.py does."""
     reference = json.loads((NETS / "reference.json").read_text())
     for workload in WORKLOADS:
         shape = spec.SHAPES[workload.removeprefix("verify-")]
@@ -73,6 +78,29 @@ def records():
                            "side": side, "outcome": verdict.outcome,
                            "margin": repr(verdict.margin), "nodes": verdict.report.nodes,
                            **verdict.report.stats, **obbt}
+
+
+def pipeline_records():
+    """Per seed, the pipelines of its train-prune round, in bench/run.py's
+    order."""
+    for seed in SEEDS:
+        workload = TrainPruneWorkload(seed)
+        for init_seed in workload.round:
+            net, report, log = workload.run(init_seed, None)
+            digest = hashlib.sha256()
+            for W, b in net.layers:
+                digest.update(W.tobytes())
+                digest.update(b.tobytes())
+            yield {"workload": "train-prune", "seed": seed, "init_seed": init_seed,
+                   "pruned_arch": report.pruned_arch,
+                   "post_accuracy": repr(report.post_accuracy), "selected": log[-1],
+                   "sha256": digest.hexdigest()}
+
+
+def records():
+    """The records in print order: the verifies, then the pipelines."""
+    yield from verify_records()
+    yield from pipeline_records()
 
 
 def main():
