@@ -59,7 +59,8 @@ class SolveReport:
     nodes: int
     wall_seconds: float
     incumbent_point: np.ndarray = None
-    # lp_solves, pivots, bound_flips, warm_starts, cold_fallbacks, failed_lps
+    # pivots, bound_flips, warm_starts, cold_fallbacks, failed_lps; nodes
+    # counts the node LPs
     stats: dict = field(default_factory=dict)
 
 
@@ -82,8 +83,8 @@ def solve(model, cfg, trace_log=None, started=None):
     incumbent = None
     inc_obj = failed_bound = -math.inf
     nodes = 0
-    stats = dict.fromkeys(("lp_solves", "pivots", "bound_flips", "warm_starts",
-                           "cold_fallbacks", "failed_lps"), 0)
+    stats = dict.fromkeys(("pivots", "bound_flips", "warm_starts", "cold_fallbacks",
+                           "failed_lps"), 0)
     counter = itertools.count()
     heap = [(-math.inf, next(counter), 0, model.lower, model.upper, None)]
     # best-first: heap[0] holds the best open bound, so once it is pruned by
@@ -95,7 +96,6 @@ def solve(model, cfg, trace_log=None, started=None):
         nodes += 1
         if trace_log is not None:
             trace_log.append(f"{nodes} {depth} {-neg_bound} {inc_obj}")
-        stats["lp_solves"] += 1
         sol = solve_lp(replace(model, lower=lo, upper=hi), warm=parent)
         stats["pivots"] += sol.pivots
         stats["bound_flips"] += sol.bound_flips

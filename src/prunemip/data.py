@@ -25,7 +25,12 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(f, n, what):
-    data = f.read(n)
+    """n bytes of f, read at most 1 MiB at a time, so that a header
+    claiming more than the file holds fails as truncated before n bytes
+    are allocated."""
+    data = bytearray()
+    while len(data) < n and (chunk := f.read(min(n - len(data), 1 << 20))):
+        data += chunk
     if len(data) != n:
         raise IdxFormatError(f"truncated file while reading {what}")
     return data

@@ -48,11 +48,16 @@ class InputBox:
 
 @dataclass
 class BoundsTable:
-    """Per hidden neuron pre-activation bounds; one (lo, hi) array pair per layer."""
+    """Per hidden neuron pre-activation bounds; one (lo, hi) array pair per
+    layer, and the LPs that tightened them with their pivots and bound flips
+    (zero for interval bounds)."""
 
     lo: list  # list of np.ndarray
     hi: list
     provenance: list  # "interval" | "obbt" per layer
+    obbt_lps: int = 0
+    obbt_pivots: int = 0
+    obbt_flips: int = 0
 
     def __post_init__(self):
         for lo, hi in zip(self.lo, self.hi):
@@ -83,6 +88,7 @@ class MipModel(LinearProgram):
     is_binary: np.ndarray
     # encoder metadata consumed by the solver and the primal heuristic
     mlp: Mlp = None  # the network encoded; None for a model read from LP text
+    bounds: BoundsTable = None  # the table the model was built on; None likewise
     input_vars: list = field(default_factory=list)
     output_vars: list = field(default_factory=list)
     # per hidden layer, int arrays (vp, vm, z) of each neuron's columns, -1
@@ -224,7 +230,7 @@ def encode_network(mlp, box, bounds, eliminate_stable=True):
         y = bld.add_var(f"y_{j}", out_lo[j], out_hi[j])
         bld.add_affine({y: 1.0}, prev, W[j], b[j])
         outputs.append(y)
-    return bld.finish(mlp=mlp, input_vars=inputs, output_vars=outputs, relu=relu)
+    return bld.finish(mlp=mlp, bounds=bounds, input_vars=inputs, output_vars=outputs, relu=relu)
 
 
 def obbt_tighten(mlp, box, deadline=None):
@@ -240,7 +246,8 @@ def obbt_tighten(mlp, box, deadline=None):
     are marked "obbt". An LP that does not end optimal (the simplex
     iteration limit, or a relaxation infeasible only numerically) leaves its
     side of that neuron at the interval bound, which is still valid, and its
-    layer marked "interval".
+    layer marked "interval". The table counts every LP solved, whatever its
+    status, with its pivots and bound flips.
     """
     from .lp import solve_lp
 
@@ -261,6 +268,9 @@ def obbt_tighten(mlp, box, deadline=None):
             c[prev] = W[j]
             for sign in (1.0, -1.0):  # hi is max c.x + b, lo is -max(-c.x) + b
                 sol = solve_lp(replace(prefix, objective=sign * c))
+                table.obbt_lps += 1
+                table.obbt_pivots += sol.pivots
+                table.obbt_flips += sol.bound_flips
                 if sol.status != "optimal":  # keep the interval bound
                     tightened = False
                     continue

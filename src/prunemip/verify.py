@@ -113,6 +113,8 @@ def verify(inst, cfg=None, bounds_mode="obbt"):
 
     The time limit and the report's wall_seconds run from the start of the
     encoding, so they cover bound tightening as well as branch-and-bound.
+    Likewise the report's stats hold, after the search's counters, the LPs
+    that bound tightening solved with their pivots and bound flips.
     """
     cfg = cfg or SolverConfig()
     started = time.monotonic()
@@ -122,13 +124,13 @@ def verify(inst, cfg=None, bounds_mode="obbt"):
         deadline=started + cfg.time_limit_seconds,
     )
     report = solve(model, cfg, started=started)
-    cex = None
-    if report.incumbent_point is not None and report.incumbent_obj is not None:
+    b = model.bounds
+    report.stats.update(obbt_lps=b.obbt_lps, obbt_pivots=b.obbt_pivots, obbt_flips=b.obbt_flips)
+    if report.incumbent_point is not None:
         x_adv = report.incumbent_point[model.input_vars]
-        if margin_of(inst.mlp, x_adv, inst.k, inst.h) > 0:
-            cex = x_adv
-    if cex is not None:
-        return Verdict("counterexample", margin_of(inst.mlp, cex, inst.k, inst.h), cex, report)
+        margin = margin_of(inst.mlp, x_adv, inst.k, inst.h)
+        if margin > 0:
+            return Verdict("counterexample", margin, x_adv, report)
     if report.status == "optimal" and report.incumbent_obj <= 0:
         return Verdict("robust", report.incumbent_obj, None, report)
     if report.status in ("optimal", "infeasible", "lp-failed"):

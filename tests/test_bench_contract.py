@@ -5,7 +5,7 @@ bench/make_networks.py counts pivots through prunemip.lp._pivot. A rename or
 a moved import would not fail there: the wrapper would just never fire and
 a per-layer metric would read 0, or a doubled call would double it. This
 test runs one traced verify and checks the metrics against the verify's own
-counts.
+counts, its stats' OBBT LPs among them.
 """
 
 import importlib
@@ -44,6 +44,7 @@ def test_traced_verify_fills_the_layer_metrics():
     assert nodes > 1
     assert metrics["bnb.lp_solves"] == metrics["bnb.nodes_base"] == nodes
     assert metrics["encode.obbt_lps"] == 2 * sum(net.hidden_widths[1:])
+    assert metrics["encode.obbt_lps"] == verdict.report.stats["obbt_lps"]
     bounds = interval_bounds(net, InputBox(np.clip(x - 0.3, 0, 1), np.clip(x + 0.3, 0, 1)))
     unstable = sum(int(((lo < 0) & (hi > 0)).sum()) for lo, hi in zip(bounds.lo, bounds.hi))
     assert unstable > 0

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import prunemip
 from prunemip.bnb import SolveReport
 from prunemip.cli import BENCH_HEADER, EXIT_USAGE, main
-from prunemip.nn import Mlp, accuracy, load_model, save_model
+from prunemip.nn import Mlp, accuracy, forward, init_mlp, load_model, save_model
 
 from conftest import random_net
 
@@ -233,8 +234,6 @@ def test_verify_misclassified_exit(tmp_path, trained_model):
     net, _ = load_model(trained_model)
     x_path = tmp_path / "x.json"
     x_path.write_text(json.dumps([0.0] * net.input_dim))
-    from prunemip.nn import forward
-
     logits, _ = forward(net, np.zeros(net.input_dim))
     wrong = (int(np.argmax(logits)) + 1) % net.output_dim
     code = run_cli("verify", "--model", str(trained_model), "--input", str(x_path),
@@ -243,6 +242,51 @@ def test_verify_misclassified_exit(tmp_path, trained_model):
     code = run_cli("export-lp", "--model", str(trained_model), "--input", str(x_path),
                    "--label", str(wrong), "--delta", "0.1", "--out", str(tmp_path / "x.lp"))
     assert code == 3
+
+
+def _mnist_dir(tmp_path):
+    """A directory holding the four MNIST IDX files, train and test alike:
+    three random images, each labelled with the argmax of the saved
+    untrained 784-input net. Returns (directory, model path)."""
+    net = init_mlp(784, [4], 10, seed=0)
+    model_path = tmp_path / "net.json"
+    save_model(net, model_path)
+    count = 3
+    images = np.random.default_rng(0).integers(0, 256, size=(count, 784), dtype=np.uint8)
+    labels = forward(net, images / 255.0)[0].argmax(axis=1).astype(np.uint8)
+    directory = tmp_path / "mnist"
+    directory.mkdir()
+    for split in ("train", "t10k"):
+        (directory / f"{split}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x803, count, 28, 28) + images.tobytes())
+        (directory / f"{split}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x801, count) + labels.tobytes())
+    return directory, model_path
+
+
+def test_verify_reads_mnist_idx_files(tmp_path, capsys):
+    """--mnist verifies a sample of the test split, with delta in raw-pixel
+    units on a box clamped to [0, 1]."""
+    directory, model_path = _mnist_dir(tmp_path)
+    code = run_cli("verify", "--model", str(model_path), "--mnist", str(directory),
+                   "--delta", "2")
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["outcome"]) == (0, "robust")
+    assert (doc["config"]["units"], doc["config"]["clamp"]) == ("raw-pixel", True)
+
+
+def test_verify_mnist_with_a_hostile_idx_count_exits_usage(tmp_path, capsys):
+    """A test-image header claiming 2^32-1 images in front of 100 bytes is a
+    truncated file, reported as a usage error rather than a MemoryError."""
+    directory, model_path = _mnist_dir(tmp_path)
+    (directory / "t10k-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 2**32 - 1, 28, 28) + bytes(100))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--model", str(model_path), "--mnist", str(directory))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "truncated file while reading image pixels" in err
 
 
 def test_prune_command(tmp_path):

@@ -71,6 +71,22 @@ def test_idx_trailing_bytes(tmp_path):
         load_idx_images(path)
 
 
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("load, header", [
+    (load_idx_images, struct.pack(">IIII", 0x00000803, 2**32 - 1, 28, 28)),
+    (load_idx_labels, struct.pack(">II", 0x00000801, 2**32 - 1)),
+], ids=["images", "labels"])
+def test_idx_count_beyond_the_file_is_truncated(tmp_path, gz, load, header):
+    """A header claiming 2^32-1 items in front of 100 payload bytes is
+    reported as truncated; the reader does not allocate what the header
+    claims."""
+    data = header + bytes(100)
+    path = tmp_path / ("idx.gz" if gz else "idx")
+    path.write_bytes(gzip.compress(data) if gz else data)
+    with pytest.raises(IdxFormatError, match="truncated"):
+        load(path)
+
+
 def test_labels_fixture_and_errors(tmp_path):
     good = tmp_path / "lbls"
     good.write_bytes(_labels_bytes([3, 9]))

@@ -206,6 +206,24 @@ def test_pipeline_selected_entry_names_its_grid_point():
     assert (sel["pruned_arch"], sel["accuracy"]) == (report.pruned_arch, report.post_accuracy)
 
 
+def test_pipeline_floor_unmet_returns_the_most_accurate_candidate():
+    """Without fine-tuning no grid point reaches the baseline's accuracy, so
+    a zero floor is met by none: the most accurate candidate is returned,
+    flagged "floor unmet", and the selected entry names its grid row."""
+    data = gen_synthetic(6, 3, 300, 3.0, 0)
+    grid = [SprConfig(0.5, 0.1), SprConfig(0.5, 0.9), SprConfig(1.0, 0.1)]
+    cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.1, seed=0)
+    net, report, log = prune_pipeline([8], data, grid, cfg, fine_tune_epochs=0, acc_floor=0.0)
+    base, *rows, sel = log
+    accs = [r["accuracy"] for r in rows]
+    assert len(set(accs)) == len(rows) == 3 and max(accs) < base["accuracy"]
+    assert sel["flag"] == "floor unmet"
+    assert accuracy(net, data) == report.post_accuracy == max(accs)
+    best = rows[accs.index(max(accs))]
+    assert (sel["lambda"], sel["alpha"], sel["m"]) == (best["lambda"], best["alpha"], best["m"])
+    assert sel["pruned_arch"] == best["pruned_arch"] == report.pruned_arch
+
+
 def test_pipeline_empty_grid_rejected(separable_data):
     cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.1, seed=0)
     with pytest.raises(ValueError):

@@ -191,7 +191,7 @@ def test_verdict_json_round_trip():
     assert isinstance(doc["counterexample"], list)
     assert doc["nodes"] >= 1
     assert doc["stats"] == verdict.report.stats
-    assert doc["stats"]["lp_solves"] == doc["nodes"]
+    assert list(doc["stats"])[-3:] == ["obbt_lps", "obbt_pivots", "obbt_flips"]
 
 
 @pytest.mark.parametrize("status", ["optimal", "infeasible"])
@@ -265,3 +265,29 @@ def test_time_limit_and_wall_seconds_cover_obbt():
     assert verdict.outcome == "timeout"
     assert verdict.report.nodes == 0
     assert elapsed - 0.05 < verdict.report.wall_seconds <= elapsed
+
+
+def test_stats_count_the_lps_of_bound_tightening(monkeypatch):
+    """A verify's stats count the LPs of its bound tightening next to the
+    search's: two per neuron of the second hidden layer, with the pivots
+    and bound flips of exactly the prunemip.lp.solve_lp calls made during
+    the verify (the search calls its own import of solve_lp). Interval
+    bounds solve none."""
+    net = random_net(3, input_dim=4, hidden=[5, 5], classes=3, scale=1.2)
+    x = np.full(4, 0.5)
+    inst = build_instance(net, x, int(np.argmax(forward(net, x)[0])), 0.3)
+    solve_lp, sols = lp_mod.solve_lp, []
+
+    def recording(lp, warm=None):
+        sols.append(solve_lp(lp, warm=warm))
+        return sols[-1]
+
+    monkeypatch.setattr(lp_mod, "solve_lp", recording)
+    stats = verify(inst).report.stats
+    assert len(sols) == stats["obbt_lps"] == 10
+    assert stats["obbt_pivots"] == sum(sol.pivots for sol in sols) > 0
+    assert stats["obbt_flips"] == sum(sol.bound_flips for sol in sols)
+    sols.clear()
+    stats = verify(inst, bounds_mode="interval").report.stats
+    assert sols == []
+    assert (stats["obbt_lps"], stats["obbt_pivots"], stats["obbt_flips"]) == (0, 0, 0)

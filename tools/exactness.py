@@ -9,8 +9,8 @@ Run it in two checkouts: they reach the same verdicts by the same search,
 and train and prune the same nets, bit for bit, when `diff a.jsonl b.jsonl`
 prints nothing. A verify line holds the workload, the seed, the input
 index, delta, the side (base or pruned net), the outcome, repr(margin), the
-node count, the six counters of the branch-and-bound stats, and the LPs
-that bound tightening solved with their pivots and bound flips. A pipeline
+node count and the verdict's stats: the branch-and-bound counters, then the
+LPs that bound tightening solved with their pivots and bound flips. A pipeline
 line holds the workload, the seed, the init seed, the pruned architecture,
 repr(post_accuracy), the log's selected entry and a sha256 over the
 selected net's weights and biases.
@@ -28,33 +28,11 @@ sys.path.insert(0, str(BENCH))
 from benchenv import NETS  # noqa: E402
 
 import spec  # noqa: E402
-import prunemip.lp as lp  # noqa: E402
 from run import TrainPruneWorkload  # noqa: E402
 from prunemip import build_instance, load_model, verify  # noqa: E402
 
 SEEDS = (1, 2)
 WORKLOADS = ("verify-desk", "verify-wide")
-
-
-def counted_verify(inst):
-    """verify(inst), and the LPs of its bound tightening with their pivots
-    and bound flips. obbt_tighten looks solve_lp up in prunemip.lp at call
-    time, so wrapping it there counts those LPs; branch-and-bound calls its
-    own import, which stays unwrapped."""
-    solve_lp, obbt = lp.solve_lp, {"obbt_lps": 0, "obbt_pivots": 0, "obbt_flips": 0}
-
-    def counting(*args, **kwargs):
-        sol = solve_lp(*args, **kwargs)
-        obbt["obbt_lps"] += 1
-        obbt["obbt_pivots"] += sol.pivots
-        obbt["obbt_flips"] += sol.bound_flips
-        return sol
-
-    lp.solve_lp = counting
-    try:
-        return verify(inst), obbt
-    finally:
-        lp.solve_lp = solve_lp
 
 
 def verify_records():
@@ -73,11 +51,11 @@ def verify_records():
                 for side, net in nets.items():
                     inst = build_instance(net, data.inputs[index], int(data.labels[index]),
                                           delta, units=shape.units, clamp=shape.clamp)
-                    verdict, obbt = counted_verify(inst)
+                    verdict = verify(inst)
                     yield {"workload": workload, "seed": seed, "index": index, "delta": delta,
                            "side": side, "outcome": verdict.outcome,
                            "margin": repr(verdict.margin), "nodes": verdict.report.nodes,
-                           **verdict.report.stats, **obbt}
+                           **verdict.report.stats}
 
 
 def pipeline_records():
