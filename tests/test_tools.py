@@ -8,8 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from prunemip.encode import interval_bounds
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -87,6 +85,6 @@ docstring"""
 @pytest.mark.parametrize("delta, counts", [(2, [17, 14]), (5, [32, 42])])
 def test_instance784_interval_bounds_leave_the_roadmap_unstable_relus(delta, counts):
     tool = _load_tool("instance784")
-    inst, box = tool.instance(delta)
+    inst = tool.instance(delta)
     assert (inst.units, inst.clamp, inst.mlp.hidden_widths) == ("raw-pixel", True, [50, 50])
-    assert tool.unstable(interval_bounds(inst.mlp, box)) == counts
+    assert tool.unstable(inst, "interval") == counts
